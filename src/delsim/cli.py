@@ -5,7 +5,9 @@ prints a single JSON document to stdout (or ``-o``), so commands compose in
 pipelines. Relative paths resolve under ``$DELSIM_DIR`` when that is set.
 
 Exit codes: 0 success (including "no obstruction"), 1 obstruction found,
-2 usage or schema error, 3 internal consistency failure.
+2 usage, schema or file error, 3 internal error (a failed consistency check
+or any other unexpected exception; reported in one line, without a
+traceback).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import sys
 from . import serialize
 from .case_is2 import (conflict_relation, conflict_report, explicit_sa2_relation,
                        location_violations)
-from .errors import InternalConsistencyError, UsageError
+from .errors import UsageError
 from .generators import (DiGraph, agreement_action, agreement_run,
                          constant_true_protocol, domination_number,
                          knowall_action, snapshot_action, snapshot_run,
                          staircase_task, standard_two_bit_workspace)
-from .logic import from_sexp, to_sexp
+from .logic import ModelTable, from_sexp, to_sexp
 from .models import (Workspace, find_morphism, input_model, product_update,
                      standard_workspace)
 from .obstruction import decide_obstruction
@@ -195,12 +197,12 @@ def _cmd_check(args) -> int:
             phi = from_sexp(sys.stdin.read())
         else:
             phi = serialize.load_formula(path)
-        from .logic import ModelTable
         table = ModelTable(model)
-        vec = table.satisfies(phi)
         if args.facet is not None:
-            _emit({"facet": args.facet, "holds": bool(vec[args.facet])}, args.output)
+            _emit({"facet": args.facet, "holds": table.check(args.facet, phi)},
+                  args.output)
         else:
+            vec = table.satisfies(phi)
             _emit({"holds_at": [int(i) for i in range(len(vec)) if vec[i]],
                    "fails_at": [int(i) for i in range(len(vec)) if not vec[i]],
                    "valid": bool(vec.all())}, args.output)
@@ -272,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="delsim",
         description="Decide epistemic solvability of distributed tasks via "
                     "simulations over simplicial models.")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="worker budget; results are identical for any value")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="reserved; all pipelines are deterministic")
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate models and action models")
@@ -371,16 +369,13 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as e:
+    except (UsageError, OSError) as e:  # OSError: an output path the user gave
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalConsistencyError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:  # exit 1 must only ever mean "obstruction found"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

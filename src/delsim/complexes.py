@@ -4,12 +4,12 @@ A complex here is pure and colored: every vertex carries an agent color and a
 set of atomic propositions, facets are the maximal simplices, and only facets
 are materialized (all lower-dimensional simplices are their subsets). Facet
 intersections are the carrier of indistinguishability, so the color sets of
-pairwise facet intersections get a precomputed adjacency index.
+pairwise facet intersections get a cached adjacency index for the scalar
+code paths (morphism search, characteristic formulas, counterexample scans).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -18,8 +18,6 @@ from .errors import UsageError
 
 # An atomic proposition "agent a was dealt value v" as a plain (a, v) pair.
 AtomPair = tuple
-
-_OWNER_TOKENS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -34,15 +32,12 @@ class Facet:
     """A maximal simplex; vertex ids stored sorted by (color, id).
 
     For a valid (pure, color-injective) complex the entry at position ``a`` is
-    the unique vertex of color ``a``. ``owner`` ties the facet to the complex
-    it was built in, so facets of unrelated complexes cannot be intersected by
-    accident.
+    the unique vertex of color ``a``.
     """
 
     index: int
     vertices: tuple[int, ...]
     colors: tuple[int, ...]
-    owner: int
 
     def vertex_of_color(self, color: int) -> int:
         if len(self.colors) > color and self.colors[color] == color:
@@ -51,18 +46,6 @@ class Facet:
             if c == color:
                 return v
         raise UsageError(f"facet {self.index} has no vertex of color {color}")
-
-
-def intersection_colors(x: Facet, y: Facet) -> frozenset[int]:
-    """Colors of the shared vertices of two facets of the same complex."""
-    if x.owner != y.owner:
-        raise UsageError("facets belong to different complexes")
-    if x.vertices == y.vertices:
-        return frozenset(x.colors)
-    shared = set(x.vertices) & set(y.vertices)
-    if not shared:
-        return frozenset()
-    return frozenset(c for v, c in zip(x.vertices, x.colors) if v in shared)
 
 
 class ChromaticComplex:
@@ -80,7 +63,6 @@ class ChromaticComplex:
         for pos, v in enumerate(self.vertices):
             if v.id != pos:
                 raise UsageError(f"vertex ids must be dense: position {pos} holds id {v.id}")
-        self.owner = next(_OWNER_TOKENS)
         self.facets: list[Facet] = []
         for i, members in enumerate(facets):
             for v in members:
@@ -91,7 +73,6 @@ class ChromaticComplex:
                 index=i,
                 vertices=tuple(ordered),
                 colors=tuple(self.vertices[v].color for v in ordered),
-                owner=self.owner,
             ))
 
     @property

@@ -190,11 +190,10 @@ class ModelTable:
     """Truth tables for formulas over one model.
 
     For each DAG node the table holds a boolean vector indexed by facet, so
-    repeated queries (and every modal step) reuse earlier work. K and D are
-    evaluated through the model's facet-adjacency matrices: ``K a phi`` holds
-    at X iff phi holds at every facet sharing X's color-a vertex, ``D A phi``
-    quantifies over facets whose intersection with X covers A (all facets when
-    A is empty).
+    repeated queries (and every modal step) reuse earlier work. ``D A phi``
+    holds at X iff phi holds at every facet sharing X's A-face (every facet
+    when A is empty), and ``K a phi`` is ``D {a} phi``: both are one
+    AND-reduction of phi's vector over the model's A-face classes.
     """
 
     def __init__(self, model):
@@ -233,14 +232,9 @@ class ModelTable:
         if node.kind == OR:
             return np.logical_or.reduce([self._vals[c.uid] for c in node.children])
         child = self._vals[node.children[0].uid]
-        falsified = (~child).astype(np.float32)
-        if node.kind == K:
-            adj = m.agent_adjacency_f32(node.payload)
-        else:
-            adj = m.group_adjacency_f32(node.payload)
-        return (adj @ falsified) < 0.5
-
-    # K a == D {a} by definition; kept as separate kinds, same matrices.
+        group = (node.payload,) if node.kind == K else node.payload
+        ids, order, starts = m.face_classes(group)
+        return np.logical_and.reduceat(child[order], starts)[ids]
 
 
 def eval_formula(model, facet: int, f: Formula) -> bool:

@@ -74,7 +74,7 @@ def standard_workspace(n_agents: int, values: Sequence[Value] | None = None) -> 
 
 
 class _ComplexCarrier:
-    """Shared plumbing: validation, labels, adjacency matrices."""
+    """Shared plumbing: validation and facet adjacency."""
 
     def __init__(self, workspace: Workspace, complex_: ChromaticComplex, kind: str):
         if complex_.n_agents != workspace.n_agents:
@@ -111,8 +111,7 @@ class _ComplexCarrier:
 class SimplicialModel(_ComplexCarrier):
     def __init__(self, workspace: Workspace, complex_: ChromaticComplex):
         super().__init__(workspace, complex_, "model")
-        self._agent_adj: dict[int, np.ndarray] = {}
-        self._group_adj: dict[frozenset, np.ndarray] = {}
+        self._face_classes: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def facet_labels(self) -> list[frozenset]:
@@ -123,39 +122,43 @@ class SimplicialModel(_ComplexCarrier):
     def label(self, facet: int) -> frozenset:
         return self.facet_labels[facet]
 
-    def agent_adjacency_f32(self, agent: int) -> np.ndarray:
-        """Indistinguishability matrix for one agent (float32 for matmuls);
-        includes the diagonal."""
-        if not 0 <= agent < self.workspace.n_agents:
-            raise UsageError(f"agent {agent} out of range")
-        mat = self._agent_adj.get(agent)
-        if mat is None:
-            n = self.n_facets
-            mat = np.eye(n, dtype=np.float32)
-            for i, row in enumerate(self.complex.adjacency):
-                for j, colors in row:
-                    if agent in colors:
-                        mat[i, j] = 1.0
-            self._agent_adj[agent] = mat
-        return mat
+    @cached_property
+    def vertex_table(self) -> np.ndarray:
+        """``[n_facets, n_agents]`` ints: entry ``[x, a]`` is facet x's
+        color-a vertex."""
+        table = np.array([f.vertices for f in self.facets], dtype=np.intp)
+        table.setflags(write=False)
+        return table
 
-    def group_adjacency_f32(self, agents: frozenset) -> np.ndarray:
-        """Reachability matrix for D: (i, j) set iff the shared colors of the
-        two facets cover ``agents``. Empty set -> all-ones (global modality)."""
-        group = frozenset(agents)
-        mat = self._group_adj.get(group)
-        if mat is None:
-            n = self.n_facets
-            if not group:
-                mat = np.ones((n, n), dtype=np.float32)
+    def face_classes(self, colors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Group the facets by their face of color set S = ``colors``.
+
+        Returns ``(ids, order, starts)``: ``ids[x]`` is the class of facet x's
+        S-face, ``order`` lists the facets sorted by class, and class c is
+        ``order[starts[c]:starts[c + 1]]``. Facets sharing their S-face are
+        exactly the ones that group S cannot tell apart; for S empty there
+        is one class.
+        """
+        key = tuple(sorted(set(colors)))
+        cached = self._face_classes.get(key)
+        if cached is None:
+            n_agents = self.workspace.n_agents
+            for a in key:
+                if not 0 <= a < n_agents:
+                    raise UsageError(f"agent {a} out of range")
+            if key:
+                _, ids = np.unique(self.vertex_table[:, key], axis=0,
+                                   return_inverse=True)
+                ids = ids.reshape(-1)
             else:
-                mat = np.eye(n, dtype=np.float32)
-                for i, row in enumerate(self.complex.adjacency):
-                    for j, colors in row:
-                        if group <= colors:
-                            mat[i, j] = 1.0
-            self._group_adj[group] = mat
-        return mat
+                ids = np.zeros(self.n_facets, dtype=np.intp)
+            order = np.argsort(ids, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(np.bincount(ids))[:-1]))
+            cached = (ids, order, starts)
+            for arr in cached:
+                arr.setflags(write=False)
+            self._face_classes[key] = cached
+        return cached
 
 
 class ActionModel(_ComplexCarrier):

@@ -8,18 +8,23 @@ that X and Y share. The maximum n-step simulations arise as a descending
 chain: S_0 relates label-equal facets, each refinement step keeps the pairs
 whose Forth obligations are met inside the previous step.
 
-Two structural facts drive the implementation. In D mode, a facet Y sharing no
-vertex with X only demands that R relate Y to *something*, so a non-total R
-refines to the empty relation and, for total R, only facet-adjacent Y
-constrain a pair; moreover taking Y = X forces the matched facet to be X'
-itself, so each D refinement only shrinks. Both modes then reduce to boolean
-matrix products ("which right facets have an R-successor matching this
-obligation?") plus a per-row gather, which numpy handles at the scales used
-here; a definition-chasing scan is kept alongside for cross-checking.
+Indistinguishability for a color set S is one rule: two facets are
+S-indistinguishable when they share their S-face. Each model groups its
+facets into S-face classes (:meth:`SimplicialModel.face_classes`), and Forth
+for S factors through those classes: X' can answer every Y in X's S-class
+exactly when each such Y has an R-partner in the S-class of X'. That is one
+OR-reduction of R over right classes and one AND-reduction over left
+classes. K mode takes S = {a} for each agent. D mode takes every S,
+including the empty set (R must be total) and the full set (Y = X itself,
+so each D refinement only shrinks); this is exact because a larger shared
+set only strengthens the obligation (S ⊆ T implies D_S ψ → D_T ψ). A
+definition-chasing scan is kept alongside for cross-checking and for
+counterexample reports.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
@@ -134,8 +139,8 @@ class VerificationReport:
 class SimulationEngine:
     """Refinement machinery for one (left, right) model pair.
 
-    Precomputes the label-equality base relation, per-facet Forth obligations
-    on the left, and per-obligation successor matrices on the right.
+    Precomputes the label-equality base relation; Forth reads the S-face
+    classes that both models cache.
     """
 
     def __init__(self, left, right):
@@ -155,61 +160,6 @@ class SimulationEngine:
         s0.setflags(write=False)
         self._s0 = s0
 
-        n_agents = left.workspace.n_agents
-        full = frozenset(range(n_agents))
-        # K obligations: for each agent, each indistinguishable Y (self incl.)
-        k_cons: list[tuple[np.ndarray, np.ndarray]] = []
-        # D obligations: each facet-adjacent Y with its shared colors, plus
-        # (X, full); color-disjoint Y reduce to the totality precheck.
-        group_ids: dict[frozenset, int] = {full: 0}
-        d_cons: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(nl):
-            row = left.neighbors(i)
-            ks_a, ks_y = [], []
-            for a in range(n_agents):
-                ks_a.append(a)
-                ks_y.append(i)
-                for j, colors in row:
-                    if a in colors:
-                        ks_a.append(a)
-                        ks_y.append(j)
-            k_cons.append((np.array(ks_a, dtype=np.intp), np.array(ks_y, dtype=np.intp)))
-            ds_g, ds_y = [0], [i]
-            for j, colors in row:
-                gid = group_ids.setdefault(colors, len(group_ids))
-                ds_g.append(gid)
-                ds_y.append(j)
-            d_cons.append((np.array(ds_g, dtype=np.intp), np.array(ds_y, dtype=np.intp)))
-        self._k_constraints = k_cons
-        self._d_constraints = d_cons
-        self._groups = sorted(group_ids, key=group_ids.get)
-
-        self._right_agent: np.ndarray | None = None   # [agents, nr, nr] float32
-        self._right_group: np.ndarray | None = None   # [groups, nr, nr] float32
-
-    # -- right-side successor structure -------------------------------------
-
-    def _right_agent_mats(self) -> np.ndarray:
-        if self._right_agent is None:
-            n_agents = self.left.workspace.n_agents
-            self._right_agent = np.stack(
-                [self.right.agent_adjacency_f32(a) for a in range(n_agents)])
-        return self._right_agent
-
-    def _right_group_mats(self) -> np.ndarray:
-        if self._right_group is None:
-            nr = self.right.n_facets
-            mats = np.zeros((len(self._groups), nr, nr), dtype=np.float32)
-            idx = np.arange(nr)
-            mats[:, idx, idx] = 1.0
-            for i in range(nr):
-                for j, shared in self.right.neighbors(i):
-                    for g, colors in enumerate(self._groups):
-                        if colors <= shared:
-                            mats[g, i, j] = 1.0
-            self._right_group = mats
-        return self._right_group
-
     # -- core steps ----------------------------------------------------------
 
     def initial_relation(self) -> Relation:
@@ -219,20 +169,21 @@ class SimulationEngine:
         """The Forth operator applied to ``r``, evaluated at every pair."""
         _check_mode(mode)
         self._check_dims(r)
-        nl, nr = r.dims
-        rt = r.bits.T.astype(np.float32)
-        out = np.zeros((nl, nr), dtype=bool)
+        agents = range(self.left.workspace.n_agents)
         if mode == "K":
-            ok = (self._right_agent_mats() @ rt) > 0.5
-            cons = self._k_constraints
+            groups = [(a,) for a in agents]
         else:
-            if not r.is_total():
-                return out
-            ok = (self._right_group_mats() @ rt) > 0.5
-            cons = self._d_constraints
-        for i in range(nl):
-            sel, ys = cons[i]
-            out[i] = ok[sel, :, ys].all(axis=0)
+            groups = [g for k in range(len(agents) + 1)
+                      for g in itertools.combinations(agents, k)]
+        out = np.ones(r.dims, dtype=bool)
+        for g in groups:
+            left_ids, left_order, left_starts = self.left.face_classes(g)
+            right_ids, right_order, right_starts = self.right.face_classes(g)
+            # hit[y, c]: y has an R-partner in right class c
+            hit = np.logical_or.reduceat(r.bits[:, right_order], right_starts, axis=1)
+            # met[b, c]: every y in left class b has one
+            met = np.logical_and.reduceat(hit[left_order], left_starts, axis=0)
+            out &= met[np.ix_(left_ids, right_ids)]
         return out
 
     def forth_naive(self, r: Relation, mode: Mode) -> np.ndarray:

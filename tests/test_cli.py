@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
+from delsim import cli, serialize
 from delsim.cli import main
 from delsim.logic import from_sexp
-from delsim import serialize
 
 
 def run_cli(args):
@@ -124,6 +124,30 @@ def test_check_requires_exactly_one_target(consensus_files):
     assert run_cli(["check", "--model", str(consensus_files["proto"])]) == 2
 
 
+@pytest.mark.parametrize("facet", ["999", "-1"])
+def test_check_facet_out_of_range_is_usage_error(consensus_files, tmp_path,
+                                                 capsys, facet):
+    phi = tmp_path / "phi.sexp"
+    phi.write_text("(atom 0 0)\n")
+    out = tmp_path / "chk.json"
+    assert run_cli(["check", "--model", str(consensus_files["proto"]),
+                    "--formula", str(phi), "--facet", facet,
+                    "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: facet index") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_gen", boom)
+    assert run_cli(["gen", "input", "--agents", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"
+
+
 def test_morphism_subcommand(consensus_files, tmp_path):
     out = tmp_path / "m.json"
     assert run_cli(["morphism", "--source", str(consensus_files["proto"]),
@@ -156,6 +180,8 @@ def test_missing_file_is_usage_error(tmp_path):
     assert run_cli(["simulate", "--left", str(tmp_path / "no.json"),
                     "--right", str(tmp_path / "no.json"),
                     "--mode", "K"]) == 2
+    assert run_cli(["gen", "input", "--agents", "2",
+                    "-o", str(tmp_path / "no-such-dir" / "m.json")]) == 2
 
 
 def test_bad_arguments_are_usage_errors():

@@ -3,8 +3,7 @@
 import pytest
 
 import oracles
-from delsim.complexes import (ChromaticComplex, Vertex, intersection_colors,
-                              validate_complex)
+from delsim.complexes import ChromaticComplex, Vertex, validate_complex
 from delsim.errors import UsageError
 from delsim.models import input_model, standard_workspace
 
@@ -41,18 +40,6 @@ def test_adjacency_matches_raw_intersection():
     for i in range(len(cx.facets)):
         for j in range(len(cx.facets)):
             assert cx.shared_colors(i, j) == oracles.shared_colors(m, i, j)
-
-
-def test_intersection_colors_requires_same_owner():
-    cx = make_triangle_pair()
-    other = make_triangle_pair()
-    with pytest.raises(UsageError):
-        intersection_colors(cx.facets[0], other.facets[1])
-
-
-def test_self_intersection_is_all_colors():
-    cx = make_triangle_pair()
-    assert intersection_colors(cx.facets[0], cx.facets[0]) == frozenset({0, 1, 2})
 
 
 def test_validate_rejects_color_clash():

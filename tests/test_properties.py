@@ -1,0 +1,134 @@
+"""Properties on random small pure chromatic models, checked against the
+definition-chasing oracles: the face-class index, the simulation chain, the
+Forth operator on arbitrary sub-relations of S_0, and model checking of K and
+D formulas."""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from delsim.complexes import ChromaticComplex, Vertex
+from delsim.logic import ModelTable, atom, conj, disj, dknow, know, neg
+from delsim.models import SimplicialModel, standard_workspace
+from delsim.simulation import Relation, SimulationEngine
+
+VALUES = (0, 1)
+WIDTH = 3     # vertices per color: 2 or 3 slots, not all of them used
+N_AGENTS = st.integers(1, 3)
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def atom_tables(n_agents: int):
+    """Atoms for each (color, local vertex) slot: at most one value each."""
+    slots = [(a, k) for a in range(n_agents) for k in range(WIDTH)]
+    return st.fixed_dictionaries({
+        (a, k): st.sets(st.sampled_from(VALUES), max_size=1).map(
+            lambda vs, a=a: frozenset((a, v) for v in vs))
+        for a, k in slots})
+
+
+@st.composite
+def models(draw, n_agents: int, atoms=None):
+    """A pure chromatic model with <= 12 facets over ``n_agents`` colors, its
+    vertices drawn from ``WIDTH`` slots per color; slot atoms come from
+    ``atoms`` when given, else are drawn."""
+    if atoms is None:
+        atoms = draw(atom_tables(n_agents))
+    width = draw(st.integers(2, WIDTH))
+    grid = list(itertools.product(range(width), repeat=n_agents))
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    facets = [cell for cell, k in zip(grid, keep) if k][:12] or grid[:1]
+    ids: dict[tuple[int, int], int] = {}
+    vertices = []
+    members = []
+    for local in facets:
+        row = []
+        for slot in enumerate(local):
+            if slot not in ids:
+                ids[slot] = len(vertices)
+                vertices.append(Vertex(len(vertices), slot[0], atoms[slot]))
+            row.append(ids[slot])
+        members.append(row)
+    ws = standard_workspace(n_agents, VALUES)
+    return SimplicialModel(ws, ChromaticComplex(n_agents, vertices, members))
+
+
+@st.composite
+def model_pairs(draw):
+    """Two models over one workspace, sometimes sharing slot atoms so that
+    many facet labels coincide and the chains run several steps."""
+    n = draw(N_AGENTS)
+    atoms = draw(st.none() | atom_tables(n))
+    return draw(models(n, atoms)), draw(models(n, atoms))
+
+
+def formulas(n_agents: int):
+    atoms = st.builds(atom, st.integers(0, n_agents - 1), st.sampled_from(VALUES))
+    groups = st.sets(st.integers(0, n_agents - 1), max_size=min(2, n_agents)) | \
+        st.just(frozenset(range(n_agents)))
+
+    def extend(sub):
+        return (st.builds(neg, sub)
+                | st.builds(conj, st.lists(sub, min_size=1, max_size=3))
+                | st.builds(disj, st.lists(sub, min_size=1, max_size=3))
+                | st.builds(know, st.integers(0, n_agents - 1), sub)
+                | st.builds(dknow, groups, sub))
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@SETTINGS
+@given(model_pairs())
+def test_chain_matches_oracle(pair):
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    for mode in ("K", "D"):
+        steps = [frozenset(s.pairs()) for s in eng.chain(mode).steps]
+        assert steps == oracles.chain_naive(left, right, mode), mode
+
+
+@SETTINGS
+@given(model_pairs(), st.data())
+def test_forth_matches_naive_on_sub_relations(pair, data):
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    s0 = eng.initial_relation().bits
+    mask = data.draw(st.lists(st.booleans(), min_size=s0.size, max_size=s0.size))
+    r = Relation(s0 & np.array(mask, dtype=bool).reshape(s0.shape))
+    for mode in ("K", "D"):
+        assert np.array_equal(eng.forth(r, mode), eng.forth_naive(r, mode)), mode
+
+
+@SETTINGS
+@given(st.data())
+def test_model_checking_matches_oracle(data):
+    n = data.draw(N_AGENTS)
+    model = data.draw(models(n))
+    phis = data.draw(st.lists(formulas(n), min_size=1, max_size=4))
+    groups = [g for k in range(n + 1) for g in itertools.combinations(range(n), k)]
+    table = ModelTable(model)
+    for phi in phis:
+        # every modal operator over each drawn formula, besides the formula
+        for psi in [phi, *(know(a, phi) for a in range(n)),
+                    *(dknow(g, phi) for g in groups)]:
+            got = table.satisfies(psi)
+            want = [oracles.eval_naive(model, x, psi) for x in range(model.n_facets)]
+            assert got.tolist() == want
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(models))
+def test_face_classes_group_shared_faces(model):
+    n = model.workspace.n_agents
+    for k in range(n + 1):
+        for group in itertools.combinations(range(n), k):
+            ids, order, starts = model.face_classes(group)
+            assert sorted(order.tolist()) == list(range(model.n_facets))
+            assert ids[order].tolist() == sorted(ids.tolist())
+            assert starts.tolist() == np.flatnonzero(
+                np.r_[True, np.diff(ids[order]) != 0]).tolist()
+            for x, y in itertools.product(range(model.n_facets), repeat=2):
+                same = set(group) <= oracles.shared_colors(model, x, y)
+                assert (ids[x] == ids[y]) == same
