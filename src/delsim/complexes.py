@@ -5,7 +5,7 @@ set of atomic propositions, facets are the maximal simplices, and only facets
 are materialized (all lower-dimensional simplices are their subsets). Facet
 intersections are the carrier of indistinguishability, so the color sets of
 pairwise facet intersections get a cached adjacency index for the scalar
-code paths (morphism search, characteristic formulas, counterexample scans).
+code paths (morphism search, counterexample scans).
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from typing import Iterable
 
 import numpy as np
@@ -275,23 +276,36 @@ def to_sexp(f: Formula, share: bool = True) -> str:
 
 
 def _write(f: Formula, names: dict[int, str]) -> str:
-    def go(node: Formula) -> str:
-        name = names.get(node.uid)
+    # An explicit stack of nodes still to write and text to emit after them,
+    # so nesting depth is not bounded by the interpreter's recursion limit.
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        name = names.get(item.uid)
         if name is not None:
-            return name
-        if node.kind == ATOM:
-            a, v = node.payload
-            return f"(atom {a} {_value_token(v)})"
-        if node.kind == NOT:
-            return f"(not {go(node.children[0])})"
-        if node.kind in (AND, OR):
-            return f"({node.kind} {' '.join(go(c) for c in node.children)})"
-        if node.kind == K:
-            return f"(K {node.payload} {go(node.children[0])})"
-        group = " ".join(str(a) for a in sorted(node.payload))
-        return f"(D ({group}) {go(node.children[0])})"
-
-    return go(f)
+            out.append(name)
+            continue
+        if item.kind == ATOM:
+            a, v = item.payload
+            out.append(f"(atom {a} {_value_token(v)})")
+            continue
+        if item.kind == K:
+            out.append(f"(K {item.payload} ")
+        elif item.kind == D:
+            group = " ".join(str(a) for a in sorted(item.payload))
+            out.append(f"(D ({group}) ")
+        else:
+            out.append(f"({item.kind} ")
+        stack.append(")")
+        for i in range(len(item.children) - 1, 0, -1):
+            stack.append(item.children[i])
+            stack.append(" ")
+        stack.append(item.children[0])
+    return "".join(out)
 
 
 def _value_token(v) -> str:
@@ -300,34 +314,15 @@ def _value_token(v) -> str:
     return json.dumps(v)
 
 
+# A parenthesis, a string with backslash escapes, a bare token, or the
+# opening quote of a string that never closes.
+_TOKEN = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"][^\s()]*|"', re.S)
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens, i = [], 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < len(text):
-                if text[j] == "\\":
-                    j += 2
-                elif text[j] == '"':
-                    break
-                else:
-                    j += 1
-            if j >= len(text):
-                raise UsageError("unterminated string in formula")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = _TOKEN.findall(text)
+    if '"' in tokens:
+        raise UsageError("unterminated string in formula")
     return tokens
 
 
@@ -361,7 +356,9 @@ def from_sexp(text: str) -> Formula:
             return json.loads(tok)
         return parse_int(tok)
 
-    def parse(env: dict[str, Formula]) -> Formula:
+    def start(env: dict[str, Formula]):
+        """Read a name or an atom outright; for any other form return the
+        generator that reads the rest of it."""
         tok = take()
         if tok != "(":
             if tok in env:
@@ -373,19 +370,25 @@ def from_sexp(text: str) -> Formula:
             v = parse_value(take())
             take(")")
             return atom(a, v)
+        return compound(head, env)
+
+    def compound(head: str, env: dict[str, Formula]):
+        """Yield the scope of each subformula the form needs and get that
+        subformula sent back, so the loop below keeps the nesting on a list
+        rather than on the call stack."""
         if head == NOT:
-            f = parse(env)
+            f = yield env
             take(")")
             return neg(f)
         if head in (AND, OR):
             parts = []
             while peek() != ")":
-                parts.append(parse(env))
+                parts.append((yield env))
             take(")")
             return conj(parts) if head == AND else disj(parts)
         if head == K:
             a = parse_int(take())
-            f = parse(env)
+            f = yield env
             take(")")
             return know(a, f)
         if head == D:
@@ -394,7 +397,7 @@ def from_sexp(text: str) -> Formula:
             while peek() != ")":
                 group.append(parse_int(take()))
             take(")")
-            f = parse(env)
+            f = yield env
             take(")")
             return dknow(group, f)
         if head == "let":
@@ -403,15 +406,29 @@ def from_sexp(text: str) -> Formula:
             while peek() == "(":
                 take("(")
                 name = take()
-                inner[name] = parse(inner)
+                inner[name] = yield inner
                 take(")")
             take(")")
-            body = parse(inner)
+            body = yield inner
             take(")")
             return body
         raise UsageError(f"unknown operator {head!r}")
 
-    out = parse({})
+    stack = []
+    value = start({})
+    while True:
+        if not isinstance(value, Formula):
+            stack.append(value)
+            value = None
+        if not stack:
+            break
+        try:
+            scope = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            value = start(scope)
     if pos != len(tokens):
         raise UsageError("trailing tokens after formula")
-    return out
+    return value

@@ -12,7 +12,9 @@ the simulation engine; it only model-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import InternalConsistencyError, UsageError
 from .logic import (Formula, FormulaClass, ModelTable, atom, classify, disj,
@@ -24,11 +26,37 @@ def characteristic_formulas(model, mode: Mode, n: int) -> list[list[Formula]]:
     """Level table: entry [k][X] is the depth-k formula at facet X.
 
     Depth 0 disagrees with X's label on some atom. In K mode each later level
-    adds, per agent and per indistinguishable facet Y, that the agent knows
-    Y's previous-level formula; in D mode it disjoins, over every facet Y,
+    adds, per agent a and per facet Y in X's {a}-class (the facets sharing
+    X's color-a vertex, X included, in ascending order), that a knows Y's
+    previous-level formula; in D mode it disjoins, over every facet Y,
     distributed knowledge (for the colors shared with Y) of Y's formula - Y
     ranging over all facets, including X itself and color-disjoint ones.
+    Every entry is the interned node that :func:`characteristic_formula`
+    builds for that facet and depth.
     """
+    return [list(level.values())
+            for level in _levels(model, mode, n, range(model.n_facets))]
+
+
+def characteristic_formula(model, mode: Mode, n: int, facet: int) -> Formula:
+    """The depth-n formula at ``facet``, built over its backward cone only.
+
+    The cone is ``facet`` at depth n and, at each depth k - 1, the facets
+    that the cone's depth-k formulas mention: in K mode the members of their
+    {a}-classes for every agent a, in D mode every facet. Formulas outside
+    the cone are never built. The result is the same interned node as
+    ``characteristic_formulas(model, mode, n)[n][facet]``, disjuncts and
+    their order included, so its s-expression is the same too.
+    """
+    if not 0 <= facet < model.n_facets:
+        raise UsageError(f"facet index {facet} out of range")
+    return _levels(model, mode, n, (facet,))[n][facet]
+
+
+def _levels(model, mode: Mode, n: int, top) -> list[dict[int, Formula]]:
+    """Formulas of depth 0..n over the backward cone of the facets ``top``:
+    entry [k] maps each cone facet at depth k, in ascending order, to its
+    depth-k formula."""
     if mode not in ("K", "D"):
         raise UsageError(f"mode must be 'K' or 'D', got {mode!r}")
     if n < 0:
@@ -37,42 +65,65 @@ def characteristic_formulas(model, mode: Mode, n: int) -> list[list[Formula]]:
     universe = [atom(a, v) for (a, v) in ws.atom_universe()]
     if not universe:
         raise UsageError("empty atom universe")
+    nf, n_agents = model.n_facets, ws.n_agents
 
-    base: list[Formula] = []
-    for lab in model.facet_labels:
+    # cone[k]: the facets whose depth-k formula is needed. A facet lies in
+    # its own classes, so each level's cone contains the one above it.
+    cone = [sorted(top)]
+    if mode == "K":
+        classes = []
+        for a in range(n_agents):
+            ids, order, starts = model.face_classes((a,))
+            classes.append((ids.tolist(),
+                            [c.tolist() for c in np.split(order, starts[1:])]))
+        for _ in range(n):
+            below = set()
+            for x in cone[-1]:
+                for ids, members in classes:
+                    below.update(members[ids[x]])
+            cone.append(sorted(below))
+    else:
+        cone += [range(nf)] * n
+    cone.reverse()
+
+    base = {}
+    for x in cone[0]:
+        lab = model.facet_labels[x]
         parts = [neg(p) for p in universe if p.payload in lab]
         parts += [p for p in universe if p.payload not in lab]
-        base.append(disj(parts))
+        base[x] = disj(parts)
     levels = [base]
 
-    n_agents = ws.n_agents
-    nf = model.n_facets
-    for _ in range(n):
-        prev = levels[-1]
-        cur: list[Formula] = []
-        for x in range(nf):
-            if mode == "K":
+    if mode == "K":
+        def level(prev, xs):
+            # the K a disjuncts are the same for all members of one {a}-class
+            known: list[dict[int, list[Formula]]] = [{} for _ in classes]
+            out = {}
+            for x in xs:
                 parts = [base[x]]
-                for a in range(n_agents):
-                    ys = sorted({x} | {y for y, colors in model.neighbors(x)
-                                       if a in colors})
-                    parts.extend(know(a, prev[y]) for y in ys)
-            else:
-                shared = dict(model.neighbors(x))
-                full = frozenset(range(n_agents))
-                parts = []
-                for y in range(nf):
-                    colors = full if y == x else shared.get(y, frozenset())
-                    parts.append(dknow(colors, prev[y]))
-            cur.append(disj(parts))
-        levels.append(cur)
+                for a, (ids, members) in enumerate(classes):
+                    c = ids[x]
+                    if c not in known[a]:
+                        known[a][c] = [know(a, prev[y]) for y in members[c]]
+                    parts += known[a][c]
+                out[x] = disj(parts)
+            return out
+    else:
+        # shared[x][y]: the colors facets x and y share, one row per facet
+        vt = model.vertex_table
+        weights = 1 << np.arange(n_agents)
+        groups = [frozenset(a for a in range(n_agents) if bits >> a & 1)
+                  for bits in range(1 << n_agents)]
+        shared = {x: [groups[bits] for bits in ((vt == vt[x]) @ weights).tolist()]
+                  for x in (cone[1] if n else ())}
+
+        def level(prev, xs):
+            return {x: disj([dknow(g, prev[y]) for y, g in enumerate(shared[x])])
+                    for x in xs}
+
+    for k in range(1, n + 1):
+        levels.append(level(levels[-1], cone[k]))
     return levels
-
-
-def characteristic_formula(model, mode: Mode, n: int, facet: int) -> Formula:
-    if not 0 <= facet < model.n_facets:
-        raise UsageError(f"facet index {facet} out of range")
-    return characteristic_formulas(model, mode, n)[n][facet]
 
 
 @dataclass
@@ -81,6 +132,9 @@ class ObstructionCheck:
 
     task_models_phi: bool
     protocol_countermodel: int | None
+    # phi's truth vector on the protocol, kept for the witness check
+    _protocol_truth: np.ndarray | None = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def confirms(self) -> bool:
@@ -104,7 +158,8 @@ def verify_obstruction(phi: Formula, task, protocol) -> ObstructionCheck:
             counter = i
             break
     return ObstructionCheck(task_models_phi=bool(task_vec.all()),
-                            protocol_countermodel=counter)
+                            protocol_countermodel=counter,
+                            _protocol_truth=prot_vec)
 
 
 @dataclass
@@ -152,7 +207,7 @@ def decide_obstruction(protocol, task, mode: Mode) -> ObstructionVerdict:
     n = chain.stabilized_at
     phi = characteristic_formula(protocol, mode, n, x)
     check = verify_obstruction(phi, task, protocol)
-    refuted_at_witness = not ModelTable(protocol).check(x, phi)
+    refuted_at_witness = not check._protocol_truth[x]
     if not (check.task_models_phi and refuted_at_witness):
         raise InternalConsistencyError(
             f"obstruction at facet {x} (depth {n}) failed verification: "

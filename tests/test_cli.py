@@ -106,6 +106,16 @@ def test_check_formula_round_trip(consensus_files, tmp_path):
     assert read(out)["holds"] is False
 
 
+def test_check_deeply_nested_formula(consensus_files, tmp_path):
+    # nesting deeper than the interpreter's recursion limit
+    phi = tmp_path / "deep.sexp"
+    phi.write_text("(K 0 " * 5000 + "(atom 0 0)" + ")" * 5000 + "\n")
+    out = tmp_path / "check.json"
+    assert run_cli(["check", "--model", str(consensus_files["proto"]),
+                    "--formula", str(phi), "-o", str(out)]) == 0
+    assert "valid" in read(out)
+
+
 def test_check_relation(consensus_files, tmp_path):
     sim = tmp_path / "sim.json"
     run_cli(["simulate", "--left", str(consensus_files["proto"]),

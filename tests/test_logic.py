@@ -1,6 +1,7 @@
 """Formula construction, classification, model checking, s-expressions."""
 
 import random
+import re
 
 import pytest
 
@@ -168,3 +169,23 @@ def test_sexp_parse_errors():
                 "(let ((x0)) x0)", "(atom 0 0) extra"]:
         with pytest.raises(UsageError):
             from_sexp(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('(atom 0 "open)', "unterminated string in formula"),
+    ('(atom 0 "escaped end\\")', "unterminated string in formula"),
+    (")", "unbound name ')' in formula"),
+    ("(atom 0 0))", "trailing tokens after formula"),
+])
+def test_sexp_token_errors(bad, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        from_sexp(bad)
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_sexp_round_trips_deep_nesting(share):
+    # deeper than the interpreter's recursion limit
+    f = atom(0, 0)
+    for _ in range(5000):
+        f = know(0, f)
+    assert from_sexp(to_sexp(f, share=share)) is f

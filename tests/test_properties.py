@@ -1,7 +1,8 @@
 """Properties on random small pure chromatic models, checked against the
 definition-chasing oracles: the face-class index, the simulation chain, the
-Forth operator on arbitrary sub-relations of S_0, and model checking of K and
-D formulas."""
+Forth operator on arbitrary sub-relations of S_0, model checking of K and D
+formulas, and the duality between characteristic formulas and the chain.
+Also the s-expression round trip over random formulas."""
 
 import itertools
 
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from delsim.complexes import ChromaticComplex, Vertex
-from delsim.logic import ModelTable, atom, conj, disj, dknow, know, neg
+from delsim.logic import (ModelTable, atom, conj, disj, dknow, from_sexp, know,
+                          neg, to_sexp)
 from delsim.models import SimplicialModel, standard_workspace
+from delsim.obstruction import characteristic_formula, characteristic_formulas
 from delsim.simulation import Relation, SimulationEngine
 
 VALUES = (0, 1)
@@ -64,8 +67,8 @@ def model_pairs(draw):
     return draw(models(n, atoms)), draw(models(n, atoms))
 
 
-def formulas(n_agents: int):
-    atoms = st.builds(atom, st.integers(0, n_agents - 1), st.sampled_from(VALUES))
+def formulas(n_agents: int, values=st.sampled_from(VALUES)):
+    atoms = st.builds(atom, st.integers(0, n_agents - 1), values)
     groups = st.sets(st.integers(0, n_agents - 1), max_size=min(2, n_agents)) | \
         st.just(frozenset(range(n_agents)))
 
@@ -132,3 +135,39 @@ def test_face_classes_group_shared_faces(model):
             for x, y in itertools.product(range(model.n_facets), repeat=2):
                 same = set(group) <= oracles.shared_colors(model, x, y)
                 assert (ids[x] == ids[y]) == same
+
+
+@SETTINGS
+@given(model_pairs())
+def test_characteristic_formulas_dual_to_chain(pair):
+    """(x, y) is in step n of the chain iff y refutes x's depth-n formula."""
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    table = ModelTable(right)
+    for mode in ("K", "D"):
+        chain = eng.chain(mode)
+        phis = characteristic_formulas(left, mode, chain.stabilized_at)
+        for n, step in enumerate(chain.steps):
+            refuted = ~np.stack([table.satisfies(f) for f in phis[n]])
+            assert np.array_equal(step.bits, refuted), (mode, n)
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(models), st.integers(0, 3))
+def test_characteristic_formula_is_table_entry(model, n):
+    for mode in ("K", "D"):
+        table = characteristic_formulas(model, mode, n)
+        for x in range(model.n_facets):
+            assert characteristic_formula(model, mode, n, x) is table[n][x]
+
+
+# str values with the characters the s-expression syntax itself uses
+SEXP_VALUES = (st.text(alphabet='"\\() \n\tab', max_size=6)
+               | st.text(max_size=3) | st.integers(-3, 3))
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(lambda n: formulas(n, SEXP_VALUES)))
+def test_sexp_round_trip(phi):
+    for share in (True, False):
+        assert from_sexp(to_sexp(phi, share=share)) is phi
