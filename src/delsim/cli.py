@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
         stabilized_at=chain.stabilized_at,
         total=fix.is_total(),
         witnesses=totality_witnesses(fix),
-        step_pairs=[s.count for s in chain.steps],
+        step_pairs=chain.step_sizes,
     ), args.output)
     return EXIT_OK
 

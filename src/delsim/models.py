@@ -146,12 +146,12 @@ class SimplicialModel(_ComplexCarrier):
             for a in key:
                 if not 0 <= a < n_agents:
                     raise UsageError(f"agent {a} out of range")
-            if key:
-                _, ids = np.unique(self.vertex_table[:, key], axis=0,
-                                   return_inverse=True)
-                ids = ids.reshape(-1)
-            else:
-                ids = np.zeros(self.n_facets, dtype=np.intp)
+            # classes in lexicographic order of the S-face's vertex ids:
+            # rank by the first color, then refine by each next color's rank
+            ids = np.zeros(self.n_facets, dtype=np.intp)
+            for a in key:
+                _, rank = np.unique(self.vertex_table[:, a], return_inverse=True)
+                _, ids = np.unique(ids * (rank.max() + 1) + rank, return_inverse=True)
             order = np.argsort(ids, kind="stable")
             starts = np.concatenate(([0], np.cumsum(np.bincount(ids))[:-1]))
             cached = (ids, order, starts)

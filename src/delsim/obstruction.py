@@ -197,8 +197,7 @@ def decide_obstruction(protocol, task, mode: Mode) -> ObstructionVerdict:
     """
     engine = SimulationEngine(protocol, task)
     chain = engine.chain(mode)
-    sizes = [s.count for s in chain.steps]
-    totals = [s.is_total() for s in chain.steps]
+    sizes, totals = chain.step_sizes, chain.step_total
     witnesses = totality_witnesses(chain.fixpoint)
     if not witnesses:
         return ObstructionVerdict(False, mode, chain.stabilized_at, None, None,

@@ -1,4 +1,4 @@
-"""Simulations between simplicial models, as bitmatrix fixpoints.
+"""Simulations between simplicial models, by counting.
 
 A relation R between the facets of two models is a K-simulation when related
 facets carry equal labels and every ``a``-indistinguishability step on the
@@ -12,14 +12,31 @@ Indistinguishability for a color set S is one rule: two facets are
 S-indistinguishable when they share their S-face. Each model groups its
 facets into S-face classes (:meth:`SimplicialModel.face_classes`), and Forth
 for S factors through those classes: X' can answer every Y in X's S-class
-exactly when each such Y has an R-partner in the S-class of X'. That is one
-OR-reduction of R over right classes and one AND-reduction over left
-classes. K mode takes S = {a} for each agent. D mode takes every S,
-including the empty set (R must be total) and the full set (Y = X itself,
-so each D refinement only shrinks); this is exact because a larger shared
-set only strengthens the obligation (S ⊆ T implies D_S ψ → D_T ψ). A
-definition-chasing scan is kept alongside for cross-checking and for
-counterexample reports.
+exactly when each such Y has an R-partner in the S-class of X'. K mode takes
+S = {a} for each agent. D mode takes every S, including the empty set (R
+must be total) and the full set (Y = X itself); this is exact because a
+larger shared set only strengthens the obligation (S ⊆ T implies
+D_S ψ → D_T ψ).
+
+Forth is read from two counters per group S, kept only where R has pairs
+(:class:`_Counters`): a cell (y, c) counts y's R-partners in right S-class
+c, and a block (b, c) counts the facets of left S-class b with no partner in
+c. Forth for S holds at (X, X') exactly when the block of their classes
+counts zero. ``forth``, ``refine`` and ``verify`` build the counters from
+scratch; the chain builds them once over S_0 and then only subtracts.
+
+In both modes each step is r_{k+1} = r_k ∩ Forth(r_k). In K mode
+S_0 ∩ Forth(r_k) ⊆ S_0 ∩ Forth(r_{k-1}) = r_k by monotonicity. In D mode the
+full group keeps Forth(S_0) inside S_0 (for Y = X, some S_0-partner of X has
+the same vertices as X', hence the same label), and then
+Forth(r_k) ⊆ Forth(r_{k-1}) = r_k by monotonicity. So the chain removes,
+round by round, the live pairs in the blocks that the previous round's
+removals pushed from zero to nonzero (the counting scheme of Henzinger,
+Henzinger and Kopke, FOCS 1995); each round touches only the cells and
+blocks of the pairs it removes. At the fixpoint, Forth rebuilt from scratch
+must hold at every pair, or the chain raises
+:class:`InternalConsistencyError`. A definition-chasing scan is kept
+alongside for cross-checking and for counterexample reports.
 """
 
 from __future__ import annotations
@@ -106,18 +123,33 @@ def totality_witnesses(r: Relation) -> list[int]:
 
 @dataclass
 class SimulationChain:
-    """The descending chain S_0, S_1, ..., ending at its fixpoint."""
+    """The descending chain S_0, S_1, ..., ending at its fixpoint.
+
+    Stored as S_0, the pairs each step removed (``removed[k - 1]`` is an
+    ``[n, 2]`` array of the pairs in S_{k-1} but not in S_k), the fixpoint,
+    and each step's size and totality; ``steps`` rebuilds the relations.
+    """
 
     mode: Mode
-    steps: list[Relation]
-
-    @property
-    def fixpoint(self) -> Relation:
-        return self.steps[-1]
+    initial: Relation
+    removed: list[np.ndarray]
+    fixpoint: Relation
+    step_sizes: list[int]
+    step_total: list[bool]
 
     @property
     def stabilized_at(self) -> int:
-        return len(self.steps) - 1
+        return len(self.removed)
+
+    @property
+    def steps(self) -> list[Relation]:
+        """S_0, S_1, ..., rebuilt from S_0 and the removed pairs."""
+        bits = self.initial.bits.copy()
+        steps = [self.initial]
+        for gone in self.removed:
+            bits[gone[:, 0], gone[:, 1]] = False
+            steps.append(Relation(bits))
+        return steps
 
 
 @dataclass
@@ -136,6 +168,75 @@ class VerificationReport:
                 "total": self.total, "counterexamples": self.counterexamples}
 
 
+def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each query, a position in the sorted, non-empty ``keys`` and
+    whether the key there equals the query."""
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return at, keys[at] == query
+
+
+class _Counters:
+    """Forth counters for one color group S over the pairs (ys, yys).
+
+    A cell (y, c) counts y's pairs into right S-class c; a block (b, c)
+    counts the facets of left S-class b with no pair into any facet of c.
+    Only cells and blocks that some pair lands in are kept, as sorted keys
+    ``y * n_classes + c`` and ``b * n_classes + c``.
+    """
+
+    def __init__(self, left, right, group, ys: np.ndarray, yys: np.ndarray):
+        self.lid, self.lorder, self.lstarts = left.face_classes(group)
+        self.rid, self.rorder, self.rstarts = right.face_classes(group)
+        self.lsize = np.diff(self.lstarts, append=left.n_facets)
+        self.rsize = np.diff(self.rstarts, append=right.n_facets)
+        self.nc = len(self.rstarts)
+        self.cells, cnt = np.unique(ys * self.nc + self.rid[yys], return_counts=True)
+        self.cnt = cnt.astype(np.int32)
+        y = self.cells // self.nc
+        self.blocks, self.block_of_cell, hits = np.unique(
+            self.cells + (self.lid[y] - y) * self.nc, return_inverse=True,
+            return_counts=True)
+        self.block_of_cell = self.block_of_cell.astype(np.int32)
+        self.miss = (self.lsize[self.blocks // self.nc] - hits).astype(np.int32)
+
+    def holds(self, xs: np.ndarray, js: np.ndarray) -> np.ndarray:
+        """Forth for S at each pair (xs[k], js[k])."""
+        if not len(self.blocks):
+            return np.zeros(len(xs), dtype=bool)
+        at, found = _find(self.blocks, self.lid[xs] * self.nc + self.rid[js])
+        return found & (self.miss[at] == 0)
+
+    def remove(self, ys: np.ndarray, yys: np.ndarray) -> np.ndarray:
+        """Subtract the pairs (ys, yys); return the blocks that just failed."""
+        at, k = np.unique(np.searchsorted(self.cells, ys * self.nc + self.rid[yys]),
+                          return_counts=True)
+        self.cnt[at] -= k
+        blocks, k = np.unique(self.block_of_cell[at[self.cnt[at] == 0]],
+                              return_counts=True)
+        fresh = blocks[self.miss[blocks] == 0]
+        self.miss[blocks] += k
+        return fresh
+
+    def live_pairs(self, blocks: np.ndarray, live: np.ndarray, n_live: int):
+        """The pairs of ``live`` (a boolean matrix with ``n_live`` pairs)
+        in the given blocks, as two index arrays."""
+        b, c = np.divmod(self.blocks[blocks], self.nc)
+        widths = self.rsize[c]
+        n = self.lsize[b] * widths
+        if n.sum() > n_live:
+            # fewer live pairs than block members: scan the live pairs
+            xs, js = np.nonzero(live)
+            _, inside = _find(self.blocks[blocks], self.lid[xs] * self.nc + self.rid[js])
+            return xs[inside], js[inside]
+        # every (left member, right member) pair of each block, vectorized
+        blk = np.repeat(np.arange(len(b)), n)
+        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        xs = self.lorder[self.lstarts[b][blk] + k // widths[blk]]
+        js = self.rorder[self.rstarts[c][blk] + k % widths[blk]]
+        inside = live[xs, js]
+        return xs[inside], js[inside]
+
+
 class SimulationEngine:
     """Refinement machinery for one (left, right) model pair.
 
@@ -148,15 +249,12 @@ class SimulationEngine:
             raise UsageError("left and right models use different workspaces")
         self.left = left
         self.right = right
-        nl, nr = left.n_facets, right.n_facets
-
-        labels: dict[frozenset, list[int]] = {}
-        for j, lab in enumerate(right.facet_labels):
-            labels.setdefault(lab, []).append(j)
-        s0 = np.zeros((nl, nr), dtype=bool)
-        for i, lab in enumerate(left.facet_labels):
-            for j in labels.get(lab, ()):
-                s0[i, j] = True
+        label_ids: dict[frozenset, int] = {}
+        left_ids, right_ids = (
+            np.array([label_ids.setdefault(lab, len(label_ids))
+                      for lab in m.facet_labels], dtype=np.intp)
+            for m in (left, right))
+        s0 = left_ids[:, None] == right_ids[None, :]
         s0.setflags(write=False)
         self._s0 = s0
 
@@ -165,26 +263,40 @@ class SimulationEngine:
     def initial_relation(self) -> Relation:
         return Relation(self._s0)
 
+    def _groups(self, mode: Mode, own_pairs: bool = False) -> list[tuple[int, ...]]:
+        """The color groups Forth ranges over. Evaluated only at the
+        relation's own pairs, D mode leaves out the full group when every
+        full-color class of both models is a single facet: the group's block
+        at a pair (x, j) is then {x} × {j}, met by the pair itself."""
+        agents = range(self.left.workspace.n_agents)
+        if mode == "K":
+            return [(a,) for a in agents]
+        groups = [g for k in range(len(agents) + 1)
+                  for g in itertools.combinations(agents, k)]
+        full = groups[-1]
+        if (own_pairs
+                and len(self.left.face_classes(full)[2]) == self.left.n_facets
+                and len(self.right.face_classes(full)[2]) == self.right.n_facets):
+            groups.pop()
+        return groups
+
+    def _forth_at(self, r_pairs: tuple[np.ndarray, np.ndarray], mode: Mode,
+                  at: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+        """Forth applied to the relation with pairs ``r_pairs`` (two index
+        arrays), evaluated at the pairs ``at`` (default: ``r_pairs``)."""
+        ys, yys = r_pairs
+        xs, js = r_pairs if at is None else at
+        ok = np.ones(len(xs), dtype=bool)
+        for g in self._groups(mode, own_pairs=at is None):
+            ok &= _Counters(self.left, self.right, g, ys, yys).holds(xs, js)
+        return ok
+
     def forth(self, r: Relation, mode: Mode) -> np.ndarray:
         """The Forth operator applied to ``r``, evaluated at every pair."""
         _check_mode(mode)
         self._check_dims(r)
-        agents = range(self.left.workspace.n_agents)
-        if mode == "K":
-            groups = [(a,) for a in agents]
-        else:
-            groups = [g for k in range(len(agents) + 1)
-                      for g in itertools.combinations(agents, k)]
-        out = np.ones(r.dims, dtype=bool)
-        for g in groups:
-            left_ids, left_order, left_starts = self.left.face_classes(g)
-            right_ids, right_order, right_starts = self.right.face_classes(g)
-            # hit[y, c]: y has an R-partner in right class c
-            hit = np.logical_or.reduceat(r.bits[:, right_order], right_starts, axis=1)
-            # met[b, c]: every y in left class b has one
-            met = np.logical_and.reduceat(hit[left_order], left_starts, axis=0)
-            out &= met[np.ix_(left_ids, right_ids)]
-        return out
+        every = tuple(np.indices(r.dims).reshape(2, -1))
+        return self._forth_at(np.nonzero(r.bits), mode, at=every).reshape(r.dims)
 
     def forth_naive(self, r: Relation, mode: Mode) -> np.ndarray:
         """Definition-chasing reference for ``forth`` (small models only)."""
@@ -223,38 +335,80 @@ class SimulationEngine:
     def refine(self, r: Relation, mode: Mode) -> Relation:
         """One chain step: S_0 ∩ Forth(r) in K mode, Forth(r) in D mode."""
         mode = _check_mode(mode)
-        fo = self.forth(r, mode)
+        self._check_dims(r)
         if mode == "K":
-            fo &= self._s0
-        return Relation(fo)
+            keep = self._s0
+        else:
+            # the full group keeps Forth(r) inside r, up to repeated right facets
+            full = self.right.face_classes(range(self.right.workspace.n_agents))[0]
+            keep = np.zeros((r.dims[0], self.right.n_facets), dtype=bool)
+            rows, cols = np.nonzero(r.bits)
+            keep[rows, full[cols]] = True
+            keep = keep[:, full]
+        xs, js = np.nonzero(keep)
+        out = np.zeros(r.dims, dtype=bool)
+        out[xs, js] = self._forth_at(np.nonzero(r.bits), mode, at=(xs, js))
+        return Relation(out)
 
     def chain(self, mode: Mode) -> SimulationChain:
+        """The chain to its fixpoint, checked by a from-scratch Forth."""
         mode = _check_mode(mode)
-        steps = [self.initial_relation()]
+        live, removed, sizes, totals = self._removal_rounds(mode)
+        if not self._forth_at(np.nonzero(live), mode).all():
+            raise InternalConsistencyError(
+                "the chain stopped at a relation that Forth does not keep")
+        return SimulationChain(mode, self.initial_relation(), removed,
+                               Relation(live), sizes, totals)
+
+    def _removal_rounds(self, mode: Mode):
+        """Run the counters from S_0 until a round removes nothing; return
+        the live pairs, each step's removed pairs, sizes and totality."""
+        xs, js = np.nonzero(self._s0)
+        counters = [_Counters(self.left, self.right, g, xs, js)
+                    for g in self._groups(mode, own_pairs=True)]
+        fresh = [np.flatnonzero(c.miss) for c in counters]
+        live = self._s0.copy()
+        row_live = np.bincount(xs, minlength=self.left.n_facets)
+        empty_rows = int((row_live == 0).sum())
+        sizes, totals, removed = [len(xs)], [empty_rows == 0], []
         while True:
-            nxt = self.refine(steps[-1], mode)
-            if not nxt <= steps[-1]:
-                raise InternalConsistencyError(
-                    "refinement added pairs; the chain must descend")
-            if nxt == steps[-1]:
-                return SimulationChain(mode, steps)
-            steps.append(nxt)
+            # a pair that several groups drop is dead for the groups after
+            # the first, so each pair is found once
+            gone = [np.zeros((0, 2), dtype=np.intp)]
+            for c, f in zip(counters, fresh):
+                if len(f):
+                    xs, js = c.live_pairs(f, live, sizes[-1])
+                    live[xs, js] = False
+                    gone.append(np.stack([xs, js], axis=1))
+            gone = np.concatenate(gone)
+            if not len(gone):
+                break
+            xs, js = gone.T
+            rows, k = np.unique(xs, return_counts=True)
+            row_live[rows] -= k
+            empty_rows += int((row_live[rows] == 0).sum())
+            removed.append(gone.astype(np.int32))
+            sizes.append(sizes[-1] - len(gone))
+            totals.append(empty_rows == 0)
+            fresh = [c.remove(xs, js) for c in counters]
+        return live, removed, sizes, totals
 
     def verify(self, r: Relation, mode: Mode, max_counterexamples: int = 10) -> VerificationReport:
         """Check the simulation conditions for an arbitrary relation."""
         mode = _check_mode(mode)
         self._check_dims(r)
         atom_bad = r.bits & ~self._s0
-        forth_bad = r.bits & ~self.forth(r, mode)
+        xs, js = np.nonzero(r.bits)
+        kept = self._forth_at((xs, js), mode)
         examples: list[dict] = []
         for i, j in np.argwhere(atom_bad)[:max_counterexamples]:
             examples.append({"kind": "atom", "left": int(i), "right": int(j)})
-        room = max_counterexamples - len(examples)
-        for i, j in np.argwhere(forth_bad)[:max(room, 0)]:
+        room = max(max_counterexamples - len(examples), 0)
+        for i, j in zip(xs[~kept][:room], js[~kept][:room]):
             examples.append(self._forth_holds_naive(r, int(i), int(j), mode))
         return VerificationReport(
             atom_ok=not bool(atom_bad.any()),
-            forth_ok=not bool(forth_bad.any()),
+            forth_ok=bool(kept.all()),
             total=r.is_total(),
             counterexamples=examples,
         )

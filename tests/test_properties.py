@@ -1,7 +1,9 @@
 """Properties on random small pure chromatic models, checked against the
-definition-chasing oracles: the face-class index, the simulation chain, the
-Forth operator on arbitrary sub-relations of S_0, model checking of K and D
-formulas, and the duality between characteristic formulas and the chain.
+definition-chasing oracles: the face-class index, the simulation chain (also
+on models that repeat a facet), the Forth operator on arbitrary sub-relations
+of S_0, ``refine`` and ``verify`` on arbitrary relations, model checking of K
+and D formulas, and the duality between characteristic formulas and the
+chain.
 Also the s-expression round trip over random formulas."""
 
 import itertools
@@ -33,16 +35,22 @@ def atom_tables(n_agents: int):
 
 
 @st.composite
-def models(draw, n_agents: int, atoms=None):
+def models(draw, n_agents: int, atoms=None, repeats: bool = False):
     """A pure chromatic model with <= 12 facets over ``n_agents`` colors, its
     vertices drawn from ``WIDTH`` slots per color; slot atoms come from
-    ``atoms`` when given, else are drawn."""
+    ``atoms`` when given, else are drawn. With ``repeats``, up to two drawn
+    facets appear a second time (the same vertex set twice)."""
     if atoms is None:
         atoms = draw(atom_tables(n_agents))
     width = draw(st.integers(2, WIDTH))
     grid = list(itertools.product(range(width), repeat=n_agents))
     keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
     facets = [cell for cell, k in zip(grid, keep) if k][:12] or grid[:1]
+    if repeats:
+        twice = draw(st.integers(1, 2))
+        facets = facets[:12 - twice]
+        facets += draw(st.lists(st.sampled_from(facets), min_size=twice,
+                                max_size=twice))
     ids: dict[tuple[int, int], int] = {}
     vertices = []
     members = []
@@ -59,12 +67,15 @@ def models(draw, n_agents: int, atoms=None):
 
 
 @st.composite
-def model_pairs(draw):
+def model_pairs(draw, repeats: bool = False):
     """Two models over one workspace, sometimes sharing slot atoms so that
-    many facet labels coincide and the chains run several steps."""
+    many facet labels coincide and the chains run several steps. With
+    ``repeats``, one of the two (or both) repeats a facet."""
     n = draw(N_AGENTS)
     atoms = draw(st.none() | atom_tables(n))
-    return draw(models(n, atoms)), draw(models(n, atoms))
+    twice = draw(st.sampled_from(["left", "right", "both"])) if repeats else ""
+    return (draw(models(n, atoms, repeats=twice in ("left", "both"))),
+            draw(models(n, atoms, repeats=twice in ("right", "both"))))
 
 
 def formulas(n_agents: int, values=st.sampled_from(VALUES)):
@@ -105,6 +116,47 @@ def test_forth_matches_naive_on_sub_relations(pair, data):
 
 
 @SETTINGS
+@given(model_pairs(repeats=True), st.data())
+def test_chain_and_forth_with_repeated_facets(pair, data):
+    """Repeated facets make full-color classes of two facets, the one case in
+    which the D chain cannot leave out the full group."""
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    s0 = eng.initial_relation().bits
+    mask = data.draw(st.lists(st.booleans(), min_size=s0.size, max_size=s0.size))
+    r = Relation(s0 & np.array(mask, dtype=bool).reshape(s0.shape))
+    for mode in ("K", "D"):
+        steps = [frozenset(s.pairs()) for s in eng.chain(mode).steps]
+        assert steps == oracles.chain_naive(left, right, mode), mode
+        assert np.array_equal(eng.forth(r, mode), eng.forth_naive(r, mode)), mode
+
+
+@SETTINGS
+@given(st.booleans().flatmap(model_pairs), st.data())
+def test_refine_and_verify_on_arbitrary_relations(pair, data):
+    """Relations with pairs outside S_0 too: ``refine`` is S_0 ∩ Forth in K
+    mode and Forth in D mode, and ``verify`` reports the definitions."""
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    s0 = eng.initial_relation().bits
+    draw_mask = st.lists(st.booleans(), min_size=s0.size, max_size=s0.size).map(
+        lambda m: np.array(m, dtype=bool).reshape(s0.shape))
+    r = Relation(s0 & data.draw(draw_mask) | data.draw(draw_mask) & data.draw(draw_mask))
+    pairs = r.pairs()
+    label_ok = all(oracles.facet_label(left, x) == oracles.facet_label(right, j)
+                   for x, j in pairs)
+    total = {x for x, _ in pairs} == set(range(left.n_facets))
+    for mode in ("K", "D"):
+        naive = eng.forth_naive(r, mode)
+        want = s0 & naive if mode == "K" else naive
+        assert np.array_equal(eng.refine(r, mode).bits, want), mode
+        report = eng.verify(r, mode)
+        assert report.atom_ok == label_ok
+        assert report.forth_ok == all(naive[x, j] for x, j in pairs)
+        assert report.total == total
+
+
+@SETTINGS
 @given(st.data())
 def test_model_checking_matches_oracle(data):
     n = data.draw(N_AGENTS)
@@ -135,6 +187,19 @@ def test_face_classes_group_shared_faces(model):
             for x, y in itertools.product(range(model.n_facets), repeat=2):
                 same = set(group) <= oracles.shared_colors(model, x, y)
                 assert (ids[x] == ids[y]) == same
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(models))
+def test_face_class_ids_in_lexicographic_order(model):
+    """Class ids number the S-faces in lexicographic order of their vertex
+    ids, as ``np.unique(..., axis=0)`` does."""
+    n = model.workspace.n_agents
+    for k in range(1, n + 1):
+        for group in itertools.combinations(range(n), k):
+            _, want = np.unique(model.vertex_table[:, group], axis=0,
+                                return_inverse=True)
+            assert model.face_classes(group)[0].tolist() == want.reshape(-1).tolist()
 
 
 @SETTINGS

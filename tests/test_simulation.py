@@ -1,4 +1,4 @@
-"""Relations, refinement chains, verification, and the vectorized forth."""
+"""Relations, refinement chains, verification, and the counter-based forth."""
 
 import random
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from delsim.errors import UsageError
+from delsim import simulation
+from delsim.errors import InternalConsistencyError, UsageError
 from delsim.models import input_model, standard_workspace
 from delsim.simulation import (Relation, SimulationEngine, initial_relation,
                                max_simulation, refine, simulation_chain,
@@ -93,6 +94,42 @@ def test_chain_descends_stepwise(snap1_2, agree1_2, stair):
             ch = simulation_chain(left, right, mode)
             for a, b in zip(ch.steps, ch.steps[1:]):
                 assert b <= a and b.count < a.count
+
+
+def test_chain_records_match_steps(snap1_2, agree1_2, stair):
+    for left, right in [(snap1_2.model, agree1_2.model),
+                        (stair.protocol_run.model, stair.task_run.model)]:
+        eng = SimulationEngine(left, right)
+        for mode in ("K", "D"):
+            ch = eng.chain(mode)
+            assert ch.steps[0] == eng.initial_relation()
+            assert ch.steps[-1] == ch.fixpoint
+            assert ch.step_sizes == [s.count for s in ch.steps]
+            assert ch.step_total == [s.is_total() for s in ch.steps]
+            for a, b, gone in zip(ch.steps, ch.steps[1:], ch.removed):
+                assert sorted(map(tuple, gone.tolist())) == \
+                    sorted(set(a.pairs()) - set(b.pairs()))
+            for k, step in enumerate(ch.steps[1:]):
+                assert step == eng.refine(ch.steps[k], mode)
+
+
+def test_chain_guard_catches_a_withheld_round(snap1_2, agree1_2, monkeypatch):
+    """Drop the blocks that the first removal round makes fail: the chain
+    then stops one step early, and the from-scratch Forth at its last
+    relation must notice."""
+    real = simulation._Counters.remove
+    rounds = []
+
+    def withhold(self, ys, yys):
+        fresh = real(self, ys, yys)
+        if not rounds:
+            rounds.append(ys)
+        return fresh[:0] if ys is rounds[0] else fresh
+
+    monkeypatch.setattr(simulation._Counters, "remove", withhold)
+    eng = SimulationEngine(snap1_2.model, agree1_2.model)
+    with pytest.raises(InternalConsistencyError):
+        eng.chain("K")
 
 
 def test_max_simulation_wrapper(snap1_2, agree1_2):
