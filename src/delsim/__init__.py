@@ -19,9 +19,7 @@ from .obstruction import (ObstructionVerdict, characteristic_formula,
                           characteristic_formulas, decide_obstruction,
                           verify_obstruction)
 from .simulation import (Relation, SimulationChain, SimulationEngine,
-                         VerificationReport, initial_relation, max_simulation,
-                         refine, simulation_chain, totality_witnesses,
-                         verify_simulation)
+                         VerificationReport, totality_witnesses)
 
 __version__ = "0.1.0"
 
@@ -33,8 +31,7 @@ __all__ = [
     "VerificationReport", "Vertex", "Workspace", "atom", "classify",
     "characteristic_formula", "characteristic_formulas", "conj", "dag_size",
     "decide_obstruction", "disj", "dknow", "eval_formula", "find_morphism",
-    "from_sexp", "graph_of_morphism", "initial_relation", "input_model",
-    "know", "max_simulation", "neg", "product_update", "refine",
-    "simulation_chain", "standard_workspace", "to_sexp", "totality_witnesses",
-    "tree_size", "validate_complex", "verify_obstruction", "verify_simulation",
+    "from_sexp", "graph_of_morphism", "input_model", "know", "neg",
+    "product_update", "standard_workspace", "to_sexp", "totality_witnesses",
+    "tree_size", "validate_complex", "verify_obstruction",
 ]

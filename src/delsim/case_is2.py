@@ -118,11 +118,11 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
 
     by_inputs: dict[tuple, list[int]] = {}
     for j in range(agree.model.n_facets):
-        by_inputs.setdefault(agree.facet_inputs[j], []).append(j)
+        by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
 
     bits = np.zeros((snap.model.n_facets, agree.model.n_facets), dtype=bool)
     for i, facet in enumerate(snap.model.facets):
-        inputs = snap.facet_inputs[i]
+        inputs = snap.run.facet_inputs[i]
         seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
         forbidden: list[tuple[int, int, int, int]] = []  # (a, b, i_p, i_q)
         if len(set(inputs)) == 3:
@@ -170,7 +170,7 @@ def everyone_decides_input_of(agree: AgreementRun, agent: int,
 
 def by_input_candidates(agree: AgreementRun, inputs: tuple) -> list[int]:
     return [j for j in range(agree.model.n_facets)
-            if agree.facet_inputs[j] == tuple(inputs)]
+            if agree.run.facet_inputs[j] == tuple(inputs)]
 
 
 def conflict_report(rel: ConflictRelation) -> dict:

@@ -29,8 +29,7 @@ from .logic import ModelTable, from_sexp, to_sexp
 from .models import (Workspace, find_morphism, input_model, product_update,
                      standard_workspace)
 from .obstruction import decide_obstruction
-from .simulation import (SimulationEngine, simulation_chain, totality_witnesses,
-                         verify_simulation)
+from .simulation import SimulationEngine, totality_witnesses
 
 EXIT_OK = 0
 EXIT_OBSTRUCTION = 1
@@ -102,13 +101,9 @@ def _cmd_gen(args) -> int:
         task = agreement_action(ws, args.k)
         _emit(serialize.action_to_json(task.action), args.output)
     elif args.family == "knowall":
-        doc = _load_json_arg(args.graphs)
-        raw = doc.get("graphs")
-        if not isinstance(raw, list) or not raw:
-            raise UsageError(f"{args.graphs}: expected {{'graphs': [{{'edges': ...}}, ...]}}")
         graphs = []
-        for g in raw:
-            edges = {(int(p), int(q)) for p, q in g.get("edges", [])}
+        for edges in serialize.graphs_from_json(_load_json_arg(args.graphs),
+                                                where=args.graphs):
             loops = {(p, p) for p in range(ws.n_agents)} - edges
             if loops:
                 print(f"note: added {len(loops)} missing self-loop(s)", file=sys.stderr)
@@ -146,7 +141,7 @@ def _cmd_update(args) -> int:
 def _cmd_simulate(args) -> int:
     left = serialize.model_from_json(_load_json_arg(args.left), where=args.left)
     right = serialize.model_from_json(_load_json_arg(args.right), where=args.right)
-    chain = simulation_chain(left, right, args.mode)
+    chain = SimulationEngine(left, right).chain(args.mode)
     fix = chain.fixpoint
     _emit(serialize.relation_to_json(
         fix,
@@ -212,7 +207,7 @@ def _cmd_check(args) -> int:
     left = serialize.model_from_json(_load_json_arg(args.left), where=args.left)
     right = serialize.model_from_json(_load_json_arg(args.right), where=args.right)
     rel = serialize.relation_from_json(_load_json_arg(args.relation), where=args.relation)
-    report = verify_simulation(left, right, rel, args.mode)
+    report = SimulationEngine(left, right).verify(rel, args.mode)
     _emit(report.to_json(), args.output)
     return EXIT_OK
 

@@ -3,9 +3,11 @@
 A complex here is pure and colored: every vertex carries an agent color and a
 set of atomic propositions, facets are the maximal simplices, and only facets
 are materialized (all lower-dimensional simplices are their subsets). Facet
-intersections are the carrier of indistinguishability, so the color sets of
-pairwise facet intersections get a cached adjacency index for the scalar
-code paths (morphism search, counterexample scans).
+intersections are the carrier of indistinguishability; the library reads
+them from :meth:`SimplicialModel.face_classes` and ``vertex_table``. The
+per-facet adjacency lists here (the color sets of pairwise intersections)
+stay only as the benchmark's trace target (``perfbench/tracing.py``);
+nothing in the library reads them.
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ class ChromaticComplex:
                         row.setdefault(j, set()).add(c)
         return [sorted(((j, frozenset(cs)) for j, cs in row.items()))
                 for row in shared]
-
-    def shared_colors(self, i: int, j: int) -> frozenset[int]:
-        if i == j:
-            return frozenset(self.facets[i].colors)
-        for k, cs in self.adjacency[i]:
-            if k == j:
-                return cs
-        return frozenset()
 
 
 def validate_complex(c: ChromaticComplex) -> list[str]:

@@ -430,6 +430,12 @@ class ModelRun:
     def source_facet(self, product_facet: int) -> int:
         return self.result.facet_sources[product_facet][0]
 
+    @cached_property
+    def facet_inputs(self) -> list[tuple[Value, ...]]:
+        """Per product facet, the input values of agents 0..n-1."""
+        return [tuple(v for _, v in sorted(self.model.label(t)))
+                for t in range(self.model.n_facets)]
+
 
 def _run(workspace: Workspace, action: ActionModel) -> ModelRun:
     inp = input_model(workspace)
@@ -455,14 +461,6 @@ class SnapshotRun:
     def facet_schedules(self, product_facet: int):
         return self.protocol.schedules[self.run.action_facet(product_facet)]
 
-    @cached_property
-    def facet_inputs(self) -> list[tuple[Value, ...]]:
-        out = []
-        for t in range(self.model.n_facets):
-            lab = sorted(self.model.label(t))
-            out.append(tuple(v for _, v in lab))
-        return out
-
 
 def snapshot_run(workspace: Workspace, rounds: int,
                  inputs: Sequence[Value] | None = None) -> SnapshotRun:
@@ -485,14 +483,6 @@ class AgreementRun:
 
     def facet_decisions(self, product_facet: int) -> tuple[Value, ...]:
         return self.task.facet_decisions[self.run.action_facet(product_facet)]
-
-    @cached_property
-    def facet_inputs(self) -> list[tuple[Value, ...]]:
-        out = []
-        for t in range(self.model.n_facets):
-            lab = sorted(self.model.label(t))
-            out.append(tuple(v for _, v in lab))
-        return out
 
 
 def agreement_run(workspace: Workspace, k: int) -> AgreementRun:
@@ -549,12 +539,12 @@ def explicit_agreement_relation(snap: SnapshotRun, agree: AgreementRun) -> Relat
     n = snap.workspace.n_agents
     by_inputs: dict[tuple, list[int]] = {}
     for j in range(agree.model.n_facets):
-        by_inputs.setdefault(agree.facet_inputs[j], []).append(j)
+        by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
 
     bits = np.zeros((snap.model.n_facets, agree.model.n_facets), dtype=bool)
     for i, facet in enumerate(snap.model.facets):
         seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
-        for j in by_inputs.get(snap.facet_inputs[i], ()):
+        for j in by_inputs.get(snap.run.facet_inputs[i], ()):
             decisions = agree.facet_decisions(j)
             if all(decisions[a] in seen[a] for a in range(n)):
                 bits[i, j] = True

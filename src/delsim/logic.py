@@ -161,10 +161,6 @@ def tree_size(f: Formula) -> int:
     return sizes[f.uid]
 
 
-def subformulas(f: Formula) -> list[Formula]:
-    return _postorder(f)
-
-
 def _postorder(f: Formula) -> list[Formula]:
     out: list[Formula] = []
     seen: set[int] = set()

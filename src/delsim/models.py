@@ -74,7 +74,7 @@ def standard_workspace(n_agents: int, values: Sequence[Value] | None = None) -> 
 
 
 class _ComplexCarrier:
-    """Shared plumbing: validation and facet adjacency."""
+    """Shared plumbing: validation and facet access."""
 
     def __init__(self, workspace: Workspace, complex_: ChromaticComplex, kind: str):
         if complex_.n_agents != workspace.n_agents:
@@ -100,12 +100,6 @@ class _ComplexCarrier:
     @property
     def facets(self) -> list[Facet]:
         return self.complex.facets
-
-    def shared_colors(self, i: int, j: int) -> frozenset[int]:
-        return self.complex.shared_colors(i, j)
-
-    def neighbors(self, i: int) -> list[tuple[int, frozenset[int]]]:
-        return self.complex.adjacency[i]
 
 
 class SimplicialModel(_ComplexCarrier):
@@ -322,7 +316,10 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
             return None
         domains.append(cands)
 
-    degree = [len(row) for row in source.complex.adjacency]
+    # degree: how many other facets share a vertex with the facet
+    owners = source.complex.vertex_facets
+    degree = [len(set().union(*(owners[v] for v in fa.vertices))) - 1
+              for fa in source.facets]
     assignment: list[int | None] = [None] * source.n_facets
     vassign: dict[int, int] = {}
 

@@ -165,20 +165,44 @@ def relation_to_json(r: Relation, **extra: Any) -> dict:
     return d
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def relation_from_json(d: dict, where: str = "") -> Relation:
+    if not isinstance(d, dict):
+        raise SchemaError(_ctx(where, "expected a JSON object"))
     dims = _need(d, "dims", where)
     pairs = _need(d, "pairs", where)
     if not (isinstance(dims, list) and len(dims) == 2
-            and all(isinstance(x, int) and x >= 0 for x in dims)):
+            and all(_is_index(x) and x >= 0 for x in dims)):
         raise SchemaError(_ctx(where, "dims: expected [rows, cols]"))
     if not isinstance(pairs, list):
         raise SchemaError(_ctx(where, "pairs: expected a list"))
     for i, p in enumerate(pairs):
-        if not (isinstance(p, list) and len(p) == 2 and all(isinstance(x, int) for x in p)):
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_index, p))):
             raise SchemaError(_ctx(where, f"pairs[{i}]: expected [left, right]"))
         if not (0 <= p[0] < dims[0] and 0 <= p[1] < dims[1]):
             raise SchemaError(_ctx(where, f"pairs[{i}]: outside dims {dims}"))
     return Relation.from_pairs((dims[0], dims[1]), pairs)
+
+
+def graphs_from_json(d: dict, where: str = "") -> list[set[tuple[int, int]]]:
+    """The edge sets of ``{"graphs": [{"edges": [[p, q], ...]}, ...]}``; a
+    graph may leave out ``edges``."""
+    graphs = d.get("graphs") if isinstance(d, dict) else None
+    if not isinstance(graphs, list) or not graphs:
+        raise SchemaError(_ctx(where, "expected {'graphs': [{'edges': ...}, ...]}"))
+    out = []
+    for i, g in enumerate(graphs):
+        edges = g.get("edges", []) if isinstance(g, dict) else None
+        if not isinstance(edges, list):
+            raise SchemaError(_ctx(where, f"graphs[{i}]: expected {{'edges': [[p, q], ...]}}"))
+        for k, e in enumerate(edges):
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_index, e))):
+                raise SchemaError(_ctx(where, f"graphs[{i}].edges[{k}]: expected [p, q]"))
+        out.append({(p, q) for p, q in edges})
+    return out
 
 
 def morphism_to_json(found: Morphism | None) -> dict:
@@ -209,14 +233,6 @@ def load_json(path: str, stream: IO | None = None) -> dict:
 
 def load_model(path: str) -> SimplicialModel:
     return model_from_json(load_json(path), where=path)
-
-
-def load_action(path: str) -> ActionModel:
-    return action_from_json(load_json(path), where=path)
-
-
-def load_relation(path: str) -> Relation:
-    return relation_from_json(load_json(path), where=path)
 
 
 def load_formula(path: str) -> Formula:

@@ -35,8 +35,7 @@ removals pushed from zero to nonzero (the counting scheme of Henzinger,
 Henzinger and Kopke, FOCS 1995); each round touches only the cells and
 blocks of the pairs it removes. At the fixpoint, Forth rebuilt from scratch
 must hold at every pair, or the chain raises
-:class:`InternalConsistencyError`. A definition-chasing scan is kept
-alongside for cross-checking and for counterexample reports.
+:class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -298,57 +297,10 @@ class SimulationEngine:
         every = tuple(np.indices(r.dims).reshape(2, -1))
         return self._forth_at(np.nonzero(r.bits), mode, at=every).reshape(r.dims)
 
-    def forth_naive(self, r: Relation, mode: Mode) -> np.ndarray:
-        """Definition-chasing reference for ``forth`` (small models only)."""
-        _check_mode(mode)
-        self._check_dims(r)
-        nl, nr = r.dims
-        out = np.zeros((nl, nr), dtype=bool)
-        for i in range(nl):
-            for j in range(nr):
-                out[i, j] = self._forth_holds_naive(r, i, j, mode) is None
-        return out
-
-    def _forth_holds_naive(self, r: Relation, i: int, j: int, mode: Mode):
-        """None if the Forth condition holds at (i, j); else a violation dict."""
-        if mode == "K":
-            n_agents = self.left.workspace.n_agents
-            for a in range(n_agents):
-                ys = [i] + [y for y, colors in self.left.neighbors(i) if a in colors]
-                for y in ys:
-                    ok = any(r.contains(y, yy)
-                             and a in self.right.shared_colors(j, yy)
-                             for yy in range(self.right.n_facets))
-                    if not ok:
-                        return {"kind": "forth", "left": i, "right": j,
-                                "agent": a, "witness": y}
-            return None
-        for y in range(self.left.n_facets):
-            colors = self.left.shared_colors(i, y)
-            ok = any(r.contains(y, yy)
-                     and colors <= self.right.shared_colors(j, yy)
-                     for yy in range(self.right.n_facets))
-            if not ok:
-                return {"kind": "forth", "left": i, "right": j, "witness": y}
-        return None
-
     def refine(self, r: Relation, mode: Mode) -> Relation:
         """One chain step: S_0 ∩ Forth(r) in K mode, Forth(r) in D mode."""
-        mode = _check_mode(mode)
-        self._check_dims(r)
-        if mode == "K":
-            keep = self._s0
-        else:
-            # the full group keeps Forth(r) inside r, up to repeated right facets
-            full = self.right.face_classes(range(self.right.workspace.n_agents))[0]
-            keep = np.zeros((r.dims[0], self.right.n_facets), dtype=bool)
-            rows, cols = np.nonzero(r.bits)
-            keep[rows, full[cols]] = True
-            keep = keep[:, full]
-        xs, js = np.nonzero(keep)
-        out = np.zeros(r.dims, dtype=bool)
-        out[xs, js] = self._forth_at(np.nonzero(r.bits), mode, at=(xs, js))
-        return Relation(out)
+        bits = self.forth(r, mode)
+        return Relation(bits & self._s0 if mode == "K" else bits)
 
     def chain(self, mode: Mode) -> SimulationChain:
         """The chain to its fixpoint, checked by a from-scratch Forth."""
@@ -405,7 +357,7 @@ class SimulationEngine:
             examples.append({"kind": "atom", "left": int(i), "right": int(j)})
         room = max(max_counterexamples - len(examples), 0)
         for i, j in zip(xs[~kept][:room], js[~kept][:room]):
-            examples.append(self._forth_holds_naive(r, int(i), int(j), mode))
+            examples.append(self._first_unmet((xs, js), int(i), int(j), mode))
         return VerificationReport(
             atom_ok=not bool(atom_bad.any()),
             forth_ok=bool(kept.all()),
@@ -413,33 +365,38 @@ class SimulationEngine:
             counterexamples=examples,
         )
 
+    def _first_unmet(self, r_pairs: tuple[np.ndarray, np.ndarray], x: int, j: int,
+                     mode: Mode) -> dict:
+        """The first Forth obligation of (x, j) that the relation with pairs
+        ``r_pairs`` leaves unmet: in K mode by agent a, then by Y in x's
+        a-class; in D mode by Y."""
+        ys, yys = r_pairs
+        bit = 1 << np.arange(self.left.workspace.n_agents)
+        # as bitmasks: the colors each Y shares with x, and each Y' with j
+        need = (self.left.vertex_table == self.left.vertex_table[x]) @ bit
+        have = (self.right.vertex_table == self.right.vertex_table[j]) @ bit
+
+        def met(ok: np.ndarray) -> np.ndarray:
+            """The left facets with a pair for which ``ok`` holds."""
+            out = np.zeros(self.left.n_facets, dtype=bool)
+            out[ys[ok]] = True
+            return out
+
+        found = {"kind": "forth", "left": x, "right": j}
+        if mode == "D":
+            unmet = np.flatnonzero(~met((need[ys] & ~have[yys]) == 0))
+            if len(unmet):
+                return {**found, "witness": int(unmet[0])}
+        else:
+            for a, b in enumerate(bit):
+                unmet = np.flatnonzero(((need & b) != 0) & ~met((have[yys] & b) != 0))
+                if len(unmet):
+                    return {**found, "agent": a, "witness": int(unmet[0])}
+        raise InternalConsistencyError(f"verify found Forth failing at ({x}, {j}), "
+                                       "but every obligation there is met")
+
     def _check_dims(self, r: Relation) -> None:
         want = (self.left.n_facets, self.right.n_facets)
         if r.dims != want:
             raise UsageError(f"relation dims {r.dims} do not match models {want}")
 
-
-# ---------------------------------------------------------------------------
-# Functional wrappers
-
-def initial_relation(left, right) -> Relation:
-    return SimulationEngine(left, right).initial_relation()
-
-
-def refine(left, right, r: Relation, mode: Mode) -> Relation:
-    return SimulationEngine(left, right).refine(r, mode)
-
-
-def simulation_chain(left, right, mode: Mode) -> SimulationChain:
-    return SimulationEngine(left, right).chain(mode)
-
-
-def max_simulation(left, right, mode: Mode) -> tuple[Relation, int]:
-    """The maximum simulation and the step at which the chain stabilized."""
-    chain = simulation_chain(left, right, mode)
-    return chain.fixpoint, chain.stabilized_at
-
-
-def verify_simulation(left, right, r: Relation, mode: Mode,
-                      max_counterexamples: int = 10) -> VerificationReport:
-    return SimulationEngine(left, right).verify(r, mode, max_counterexamples)

@@ -2,8 +2,8 @@
 
 Everything here chases definitions directly over the raw complex data
 (vertex ids, colors, per-vertex atoms) with plain sets and dicts. Nothing
-imports the library's cached adjacency indexes, the vectorized model table,
-or the simulation engine, so agreement between these oracles and the fast
+imports the library's face-class index, the vectorized model table, or the
+simulation engine, so agreement between these oracles and the fast
 paths is meaningful evidence rather than a tautology.
 """
 
@@ -68,45 +68,60 @@ def eval_naive(model, facet: int, f) -> bool:
 
 # -- simulation chains ------------------------------------------------------
 
+def forth_naive(left, right, bits, mode: str) -> list[list[dict | None]]:
+    """The Forth operator applied to the relation ``bits`` (``bits[y][y']``
+    for every left facet y and right facet y'), by literal quantifier
+    chasing. Entry ``[x][x']`` is None where Forth holds and otherwise the
+    first unmet obligation: in K mode by agent a, then by Y among the facets
+    that a cannot tell from x; in D mode by Y."""
+    nl, nr = left.n_facets, right.n_facets
+    sh_l = [[shared_colors(left, i, k) for k in range(nl)] for i in range(nl)]
+    sh_r = [[shared_colors(right, j, k) for k in range(nr)] for j in range(nr)]
+
+    def met(y, need, xp):
+        return any(bits[y][yp] and need <= sh_r[xp][yp] for yp in range(nr))
+
+    def unmet(x, xp):
+        found = {"kind": "forth", "left": x, "right": xp}
+        if mode == "K":
+            for a in sorted(sh_l[x][x]):
+                for y in range(nl):
+                    if a in sh_l[x][y] and not met(y, {a}, xp):
+                        return {**found, "agent": a, "witness": y}
+            return None
+        for y in range(nl):
+            if not met(y, sh_l[x][y], xp):
+                return {**found, "witness": y}
+        return None
+
+    return [[unmet(x, xp) for xp in range(nr)] for x in range(nl)]
+
+
+def forth_holds(left, right, bits, mode: str) -> list[list[bool]]:
+    """Where :func:`forth_naive` finds no unmet obligation."""
+    return [[o is None for o in row]
+            for row in forth_naive(left, right, bits, mode)]
+
+
 def chain_naive(left, right, mode: str) -> list[frozenset]:
-    """Greatest-fixpoint iteration as literal quantifier chasing.
+    """Greatest-fixpoint iteration over :func:`forth_naive`.
 
     Returns the descending sequence of pair sets, last element = fixpoint.
     """
     nl, nr = left.n_facets, right.n_facets
     labels_l = [facet_label(left, i) for i in range(nl)]
     labels_r = [facet_label(right, j) for j in range(nr)]
-    sh_l = [[shared_colors(left, i, k) for k in range(nl)] for i in range(nl)]
-    sh_r = [[shared_colors(right, j, k) for k in range(nr)] for j in range(nr)]
-
     s0 = frozenset((i, j) for i in range(nl) for j in range(nr)
                    if labels_l[i] == labels_r[j])
-
-    def holds_k(s, x, xp):
-        for a in sh_l[x][x]:
-            for y in range(nl):
-                if a not in sh_l[x][y]:
-                    continue
-                if not any((y, yp) in s for yp in range(nr)
-                           if a in sh_r[xp][yp]):
-                    return False
-        return True
-
-    def holds_d(s, x, xp):
-        for y in range(nl):
-            need = sh_l[x][y]
-            if not any((y, yp) in s for yp in range(nr)
-                       if need <= sh_r[xp][yp]):
-                return False
-        return True
 
     steps = [s0]
     while True:
         cur = steps[-1]
-        if mode == "K":
-            new = frozenset(p for p in s0 if holds_k(cur, *p))
-        else:
-            new = frozenset(p for p in cur if holds_d(cur, *p))
+        bits = [[(y, yp) in cur for yp in range(nr)] for y in range(nl)]
+        forth = forth_naive(left, right, bits, mode)
+        # K: S_0 ∩ Forth(cur); D: cur ∩ Forth(cur)
+        new = frozenset(p for p in (s0 if mode == "K" else cur)
+                        if forth[p[0]][p[1]] is None)
         if new == cur:
             return steps
         assert new < cur, "refinement must descend"

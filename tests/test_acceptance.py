@@ -23,7 +23,7 @@ from delsim.logic import ModelTable, atom, conj, disj, dknow, know, neg
 from delsim.models import (find_morphism, graph_of_morphism, input_model,
                            standard_workspace)
 from delsim.obstruction import characteristic_formulas, decide_obstruction
-from delsim.simulation import SimulationEngine, simulation_chain
+from delsim.simulation import SimulationEngine
 
 
 @contextmanager
@@ -83,7 +83,7 @@ def test_acceptance_3_formula_relation_duality():
         for left, right in pairs:
             assert left.n_facets <= 10 and right.n_facets <= 10
             for mode in ("K", "D"):
-                ch = simulation_chain(left, right, mode)
+                ch = SimulationEngine(left, right).chain(mode)
                 phis = characteristic_formulas(left, mode, ch.stabilized_at)
                 table = ModelTable(right)
                 for n, step in enumerate(ch.steps):
@@ -94,7 +94,7 @@ def test_acceptance_3_formula_relation_duality():
         # replay one pair through the definition-chasing evaluator
         left, right = pairs[0]
         for mode in ("K", "D"):
-            ch = simulation_chain(left, right, mode)
+            ch = SimulationEngine(left, right).chain(mode)
             phis = characteristic_formulas(left, mode, ch.stabilized_at)
             for n, step in enumerate(ch.steps):
                 for x in range(left.n_facets):
@@ -156,7 +156,7 @@ def test_acceptance_6_isolated_agents_cannot_agree():
         assert verdict.verification.confirms
         # after one refinement the rainbow inputs are already uncovered,
         # among them the facet where each agent holds its own index
-        chain = simulation_chain(run.model, agree.model, "D")
+        chain = SimulationEngine(run.model, agree.model).chain("D")
         s1 = chain.steps[1]
         uncovered = {i for i in range(run.model.n_facets)
                      if not s1.row(i).any()}
@@ -182,7 +182,7 @@ def test_acceptance_7_structural_properties():
         ]
         for left, right in chain_pairs:
             for mode in ("K", "D"):
-                ch = simulation_chain(left, right, mode)
+                ch = SimulationEngine(left, right).chain(mode)
                 for a, b in zip(ch.steps, ch.steps[1:]):
                     assert b <= a
 
@@ -263,7 +263,7 @@ def test_acceptance_8_staircase_obstruction():
         # the independent chain first, then the engine must reproduce it
         naive = oracles.chain_naive(left, right, "K")
         assert [len(s) for s in naive] == [9, 7, 5, 3, 1, 0]
-        ch = simulation_chain(left, right, "K")
+        ch = SimulationEngine(left, right).chain("K")
         assert [frozenset(s.pairs()) for s in ch.steps] == naive
         strict = sum(1 for a, b in zip(ch.steps, ch.steps[1:])
                      if b.count < a.count)

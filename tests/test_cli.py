@@ -186,6 +186,39 @@ def test_knowall_generation(tmp_path):
     assert len(read(out)["facets"]) == 4
 
 
+@pytest.mark.parametrize("doc", [
+    lambda dims: "dims",
+    lambda dims: {"dims": [True, dims[1]], "pairs": []},
+    lambda dims: {"dims": dims, "pairs": [[0, False]]},
+])
+def test_malformed_relation_is_schema_error(consensus_files, tmp_path, capsys, doc):
+    dims = [len(read(consensus_files[side])["facets"]) for side in ("proto", "task")]
+    rel = tmp_path / "rel.json"
+    rel.write_text(json.dumps(doc(dims)))
+    assert run_cli(["check", "--left", str(consensus_files["proto"]),
+                    "--right", str(consensus_files["task"]),
+                    "--relation", str(rel)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"graphs": [[[0, 1]]]},
+    {"graphs": [{"edges": [["a", 1]]}]},
+    {"graphs": [{"edges": [[0, True]]}]},
+    {"graphs": [{"edges": [[0, 1, 2]]}]},
+    {"graphs": [{"edges": {"0": 1}}]},
+])
+def test_malformed_graphs_file_is_schema_error(tmp_path, capsys, doc):
+    graphs = tmp_path / "g.json"
+    graphs.write_text(json.dumps(doc))
+    assert run_cli(["gen", "knowall", "--agents", "2", "--rounds", "1",
+                    "--graphs", str(graphs)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert run_cli(["simulate", "--left", str(tmp_path / "no.json"),
                     "--right", str(tmp_path / "no.json"),

@@ -145,13 +145,13 @@ def test_snapshot_schedules_regenerate_views(snap1_3):
 
 
 def test_snapshot_facet_inputs_consistent(snap_si):
-    assert set(snap_si.facet_inputs) == {(0, 0, 0)}
+    assert set(snap_si.run.facet_inputs) == {(0, 0, 0)}
 
 
 def test_snapshot_labels_are_input_assignments(snap1_3):
     for i in range(snap1_3.model.n_facets):
         lab = snap1_3.model.label(i)
-        assert lab == frozenset(enumerate(snap1_3.facet_inputs[i]))
+        assert lab == frozenset(enumerate(snap1_3.run.facet_inputs[i]))
 
 
 def test_snapshot_input_validation(ws3):
@@ -176,7 +176,7 @@ def test_agreement_facet_counts(agree1_2, agree2_2, agree2_3):
 def test_agreement_decisions_obey_task(agree2_3):
     for j in range(agree2_3.model.n_facets):
         decisions = agree2_3.facet_decisions(j)
-        inputs = agree2_3.facet_inputs[j]
+        inputs = agree2_3.run.facet_inputs[j]
         assert len(set(decisions)) <= 2
         assert set(decisions) <= set(inputs)
 
@@ -201,7 +201,7 @@ def test_consensus_components_are_two_paths(agree1_2):
 def test_explicit_agreement_relation_clauses(snap1_3, agree2_3):
     rel = explicit_agreement_relation(snap1_3, agree2_3)
     for i, j in rel.pairs()[:500]:
-        assert snap1_3.facet_inputs[i] == agree2_3.facet_inputs[j]
+        assert snap1_3.run.facet_inputs[i] == agree2_3.run.facet_inputs[j]
     # spot-check the view clause on one facet
     i = 0
     facet = snap1_3.model.facets[i]

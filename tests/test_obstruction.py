@@ -8,13 +8,13 @@ from delsim.logic import FormulaClass, ModelTable, atom, classify, neg
 from delsim.models import find_morphism, input_model, standard_workspace
 from delsim.obstruction import (characteristic_formula, characteristic_formulas,
                                 decide_obstruction, verify_obstruction)
-from delsim.simulation import simulation_chain
+from delsim.simulation import SimulationEngine
 
 
 def assert_duality(left, right, mode):
     """Exact correspondence: a pair is in step n iff the right facet fails
     the left facet's depth-n characteristic formula."""
-    ch = simulation_chain(left, right, mode)
+    ch = SimulationEngine(left, right).chain(mode)
     phis = characteristic_formulas(left, mode, ch.stabilized_at)
     table = ModelTable(right)
     for n, step in enumerate(ch.steps):
@@ -50,7 +50,7 @@ def test_duality_against_naive_evaluator(stair, mode):
     # same statement, but the formula side goes through the oracle evaluator
     left = stair.protocol_run.model
     right = stair.task_run.model
-    ch = simulation_chain(left, right, mode)
+    ch = SimulationEngine(left, right).chain(mode)
     phis = characteristic_formulas(left, mode, ch.stabilized_at)
     for n, step in enumerate(ch.steps):
         for x in range(left.n_facets):

@@ -1,9 +1,9 @@
 """Properties on random small pure chromatic models, checked against the
 definition-chasing oracles: the face-class index, the simulation chain (also
 on models that repeat a facet), the Forth operator on arbitrary sub-relations
-of S_0, ``refine`` and ``verify`` on arbitrary relations, model checking of K
-and D formulas, and the duality between characteristic formulas and the
-chain.
+of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
+counterexamples included), model checking of K and D formulas, and the
+duality between characteristic formulas and the chain.
 Also the s-expression round trip over random formulas."""
 
 import itertools
@@ -112,7 +112,8 @@ def test_forth_matches_naive_on_sub_relations(pair, data):
     mask = data.draw(st.lists(st.booleans(), min_size=s0.size, max_size=s0.size))
     r = Relation(s0 & np.array(mask, dtype=bool).reshape(s0.shape))
     for mode in ("K", "D"):
-        assert np.array_equal(eng.forth(r, mode), eng.forth_naive(r, mode)), mode
+        assert np.array_equal(eng.forth(r, mode),
+                              oracles.forth_holds(left, right, r.bits, mode)), mode
 
 
 @SETTINGS
@@ -128,7 +129,8 @@ def test_chain_and_forth_with_repeated_facets(pair, data):
     for mode in ("K", "D"):
         steps = [frozenset(s.pairs()) for s in eng.chain(mode).steps]
         assert steps == oracles.chain_naive(left, right, mode), mode
-        assert np.array_equal(eng.forth(r, mode), eng.forth_naive(r, mode)), mode
+        assert np.array_equal(eng.forth(r, mode),
+                              oracles.forth_holds(left, right, r.bits, mode)), mode
 
 
 @SETTINGS
@@ -147,13 +149,35 @@ def test_refine_and_verify_on_arbitrary_relations(pair, data):
                    for x, j in pairs)
     total = {x for x, _ in pairs} == set(range(left.n_facets))
     for mode in ("K", "D"):
-        naive = eng.forth_naive(r, mode)
+        naive = np.array(oracles.forth_holds(left, right, r.bits, mode))
         want = s0 & naive if mode == "K" else naive
         assert np.array_equal(eng.refine(r, mode).bits, want), mode
         report = eng.verify(r, mode)
         assert report.atom_ok == label_ok
         assert report.forth_ok == all(naive[x, j] for x, j in pairs)
         assert report.total == total
+
+
+@SETTINGS
+@given(st.booleans().flatmap(model_pairs), st.data())
+def test_verify_counterexamples_are_first_unmet_obligations(pair, data):
+    """``verify`` reports the label mismatches, then for each pair where
+    Forth fails its first unmet obligation (agent, witness Y) in the order
+    of the definition, all in pair order."""
+    left, right = pair
+    eng = SimulationEngine(left, right)
+    s0 = eng.initial_relation().bits
+    draw_mask = st.lists(st.booleans(), min_size=s0.size, max_size=s0.size).map(
+        lambda m: np.array(m, dtype=bool).reshape(s0.shape))
+    r = Relation(s0 & data.draw(draw_mask) | data.draw(draw_mask) & data.draw(draw_mask))
+    for mode in ("K", "D"):
+        forth = oracles.forth_naive(left, right, r.bits, mode)
+        want = [{"kind": "atom", "left": x, "right": j} for x, j in r.pairs()
+                if oracles.facet_label(left, x) != oracles.facet_label(right, j)]
+        want += [forth[x][j] for x, j in r.pairs() if forth[x][j] is not None]
+        assert eng.verify(r, mode, max_counterexamples=2 * r.count).counterexamples \
+            == want
+        assert eng.verify(r, mode).counterexamples == want[:10]
 
 
 @SETTINGS

@@ -9,9 +9,7 @@ import oracles
 from delsim import simulation
 from delsim.errors import InternalConsistencyError, UsageError
 from delsim.models import input_model, standard_workspace
-from delsim.simulation import (Relation, SimulationEngine, initial_relation,
-                               max_simulation, refine, simulation_chain,
-                               totality_witnesses)
+from delsim.simulation import Relation, SimulationEngine, totality_witnesses
 
 # chain sizes frozen after matching the set-based oracle pair-for-pair
 CONSENSUS_K = [18, 14, 10, 6, 2, 0]
@@ -41,7 +39,7 @@ def test_relation_bounds_checked():
 
 
 def test_initial_relation_is_label_equality(snap1_2, agree1_2):
-    r = initial_relation(snap1_2.model, agree1_2.model)
+    r = SimulationEngine(snap1_2.model, agree1_2.model).initial_relation()
     for i in range(snap1_2.model.n_facets):
         for j in range(agree1_2.model.n_facets):
             same = oracles.facet_label(snap1_2.model, i) == \
@@ -52,7 +50,7 @@ def test_initial_relation_is_label_equality(snap1_2, agree1_2):
 @pytest.mark.parametrize("mode,expected", [("K", CONSENSUS_K),
                                            ("D", CONSENSUS_D)])
 def test_consensus_chain_matches_oracle(snap1_2, agree1_2, mode, expected):
-    ch = simulation_chain(snap1_2.model, agree1_2.model, mode)
+    ch = SimulationEngine(snap1_2.model, agree1_2.model).chain(mode)
     assert [s.count for s in ch.steps] == expected
     naive = oracles.chain_naive(snap1_2.model, agree1_2.model, mode)
     assert [frozenset(s.pairs()) for s in ch.steps] == naive
@@ -62,7 +60,7 @@ def test_consensus_chain_matches_oracle(snap1_2, agree1_2, mode, expected):
 
 @pytest.mark.parametrize("mode", ["K", "D"])
 def test_two_agent_two_set_chain_total(snap1_2, agree2_2, mode):
-    ch = simulation_chain(snap1_2.model, agree2_2.model, mode)
+    ch = SimulationEngine(snap1_2.model, agree2_2.model).chain(mode)
     assert [s.count for s in ch.steps] == TWO_AGENT_K2
     assert ch.fixpoint.is_total()
     naive = oracles.chain_naive(snap1_2.model, agree2_2.model, mode)
@@ -73,7 +71,7 @@ def test_two_agent_two_set_chain_total(snap1_2, agree2_2, mode):
 def test_staircase_chain_matches_oracle(stair, mode, expected):
     left = stair.protocol_run.model
     right = stair.task_run.model
-    ch = simulation_chain(left, right, mode)
+    ch = SimulationEngine(left, right).chain(mode)
     assert [s.count for s in ch.steps] == expected
     assert [frozenset(s.pairs()) for s in ch.steps] == \
         oracles.chain_naive(left, right, mode)
@@ -82,7 +80,7 @@ def test_staircase_chain_matches_oracle(stair, mode, expected):
 def test_identity_pair_stabilizes_immediately():
     m = input_model(standard_workspace(2, (0, 1)))
     for mode in ("K", "D"):
-        ch = simulation_chain(m, m, mode)
+        ch = SimulationEngine(m, m).chain(mode)
         assert [s.count for s in ch.steps] == [4]
         assert ch.fixpoint.is_total()
 
@@ -91,7 +89,7 @@ def test_chain_descends_stepwise(snap1_2, agree1_2, stair):
     for left, right in [(snap1_2.model, agree1_2.model),
                         (stair.protocol_run.model, stair.task_run.model)]:
         for mode in ("K", "D"):
-            ch = simulation_chain(left, right, mode)
+            ch = SimulationEngine(left, right).chain(mode)
             for a, b in zip(ch.steps, ch.steps[1:]):
                 assert b <= a and b.count < a.count
 
@@ -132,10 +130,10 @@ def test_chain_guard_catches_a_withheld_round(snap1_2, agree1_2, monkeypatch):
         eng.chain("K")
 
 
-def test_max_simulation_wrapper(snap1_2, agree1_2):
-    fix, n = max_simulation(snap1_2.model, agree1_2.model, "K")
-    assert n == len(CONSENSUS_K) - 1
-    assert fix.count == 0
+def test_max_simulation_via_engine(snap1_2, agree1_2):
+    ch = SimulationEngine(snap1_2.model, agree1_2.model).chain("K")
+    assert ch.stabilized_at == len(CONSENSUS_K) - 1
+    assert ch.fixpoint.count == 0
 
 
 def test_vectorized_forth_equals_naive_on_random_relations(snap1_2, agree2_2):
@@ -150,13 +148,14 @@ def test_vectorized_forth_equals_naive_on_random_relations(snap1_2, agree2_2):
                     bits[i, j] = rng.random() < 0.55
             r = Relation(bits)
             fast = eng.forth(r, mode)
-            slow = eng.forth_naive(r, mode)
+            slow = oracles.forth_holds(snap1_2.model, agree2_2.model, bits, mode)
             assert np.array_equal(fast, slow), mode
 
 
 def test_refine_drops_unmatched_pairs(snap1_2, agree1_2):
-    s0 = initial_relation(snap1_2.model, agree1_2.model)
-    s1 = refine(snap1_2.model, agree1_2.model, s0, "K")
+    eng = SimulationEngine(snap1_2.model, agree1_2.model)
+    s0 = eng.initial_relation()
+    s1 = eng.refine(s0, "K")
     assert s1 <= s0 and s1.count == CONSENSUS_K[1]
 
 
@@ -208,7 +207,7 @@ def test_verify_accepts_the_fixpoint(snap1_2, agree2_2):
 
 def test_mode_validation(snap1_2, agree1_2):
     with pytest.raises(UsageError):
-        simulation_chain(snap1_2.model, agree1_2.model, "KD")
+        SimulationEngine(snap1_2.model, agree1_2.model).chain("KD")
 
 
 def test_dims_validation(snap1_2, agree1_2):
