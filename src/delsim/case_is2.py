@@ -120,7 +120,7 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
     for j in range(agree.model.n_facets):
         by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
 
-    bits = np.zeros((snap.model.n_facets, agree.model.n_facets), dtype=bool)
+    pairs = []
     for i, facet in enumerate(snap.model.facets):
         inputs = snap.run.facet_inputs[i]
         seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
@@ -137,8 +137,8 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
             if any(decisions[a] == ip and decisions[b] == iq
                    for a, b, ip, iq in forbidden):
                 continue
-            bits[i, j] = True
-    return Relation(bits)
+            pairs.append((i, j))
+    return Relation.from_pairs((snap.model.n_facets, agree.model.n_facets), pairs)
 
 
 def location_violations(snap: SnapshotRun, rel: ConflictRelation) -> list[tuple[int, int]]:

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .complexes import ChromaticComplex, Vertex
 from .errors import InternalConsistencyError, UsageError
 from .logic import Formula, atom, conj, disj, neg
@@ -541,14 +539,14 @@ def explicit_agreement_relation(snap: SnapshotRun, agree: AgreementRun) -> Relat
     for j in range(agree.model.n_facets):
         by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
 
-    bits = np.zeros((snap.model.n_facets, agree.model.n_facets), dtype=bool)
+    pairs = []
     for i, facet in enumerate(snap.model.facets):
         seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
         for j in by_inputs.get(snap.run.facet_inputs[i], ()):
             decisions = agree.facet_decisions(j)
             if all(decisions[a] in seen[a] for a in range(n)):
-                bits[i, j] = True
-    return Relation(bits)
+                pairs.append((i, j))
+    return Relation.from_pairs((snap.model.n_facets, agree.model.n_facets), pairs)
 
 
 def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphism:

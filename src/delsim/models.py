@@ -20,7 +20,7 @@ import numpy as np
 from .complexes import ChromaticComplex, Facet, Vertex, validate_complex
 from .errors import UsageError
 from .logic import Formula, ModelTable
-from .simulation import Relation
+from .simulation import Relation, SimulationEngine
 
 Value = int | str
 
@@ -280,12 +280,12 @@ def graph_of_morphism(f: Morphism, source: SimplicialModel,
         raise UsageError("not a morphism:\n  " + "\n  ".join(problems))
     tv = target.complex.vertices
     target_facets = {fa.vertices: fa.index for fa in target.facets}
-    bits = np.zeros((source.n_facets, target.n_facets), dtype=bool)
+    pairs = []
     for fa in source.facets:
         image = tuple(sorted({f.vmap[v] for v in fa.vertices},
                              key=lambda w: (tv[w].color, w)))
-        bits[fa.index, target_facets[image]] = True
-    return Relation(bits)
+        pairs.append((fa.index, target_facets[image]))
+    return Relation.from_pairs((source.n_facets, target.n_facets), pairs)
 
 
 def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism | None:
@@ -295,6 +295,12 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
     facets sharing a vertex must agree on its image. Forward checking plus
     smallest-domain-first selection (degree as tiebreak) keeps the search
     tractable at the scales used here.
+
+    The domains start inside the maximum D-simulation (the D chain's
+    fixpoint), and there is no morphism when that is not total: a colour-
+    and label-preserving simplicial map sends facets that share their
+    S-face to facets that share at least that face, so its facet graph is a
+    D-simulation and lies inside the maximum one.
     """
     if source.workspace != target.workspace:
         raise UsageError("models use different workspaces")
@@ -307,11 +313,15 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
     if any(not d for d in vdom):
         return None
 
+    fixpoint = SimulationEngine(source, target).chain("D").fixpoint
+    if not fixpoint.is_total():
+        return None
     n = source.workspace.n_agents
     domains: list[list[int]] = []
     for fa in source.facets:
-        cands = [g.index for g in target.facets
-                 if all(g.vertices[a] in vdom[fa.vertices[a]] for a in range(n))]
+        cands = [j for j in fixpoint.partners(fa.index).tolist()
+                 if all(target.facets[j].vertices[a] in vdom[fa.vertices[a]]
+                        for a in range(n))]
         if not cands:
             return None
         domains.append(cands)

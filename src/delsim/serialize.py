@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from typing import IO, Any
 
+import numpy as np
+
 from .complexes import ChromaticComplex, Vertex
 from .errors import SchemaError
 from .logic import Formula, from_sexp, to_sexp
@@ -160,13 +162,27 @@ def action_from_json(d: dict, where: str = "") -> ActionModel:
 def relation_to_json(r: Relation, **extra: Any) -> dict:
     d = {"format": RELATION_FORMAT,
          "dims": list(r.dims),
-         "pairs": [list(p) for p in r.pairs()]}
+         "pairs": np.stack([r.xs, r.js], axis=1).tolist()}
     d.update(extra)
     return d
 
 
 def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _index_pairs(items: list) -> np.ndarray | None:
+    """``items`` as one ``[n, 2]`` int64 array when every item is a list of
+    two indices (ints, not bools) that fit in int64; else None."""
+    if not items:
+        return np.zeros((0, 2), dtype=np.int64)
+    try:
+        a = np.array(items, dtype=object)
+        if a.shape != (len(items), 2) or not np.frompyfunc(_is_index, 1, 1)(a).all():
+            return None
+        return a.astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
 
 
 def relation_from_json(d: dict, where: str = "") -> Relation:
@@ -179,12 +195,15 @@ def relation_from_json(d: dict, where: str = "") -> Relation:
         raise SchemaError(_ctx(where, "dims: expected [rows, cols]"))
     if not isinstance(pairs, list):
         raise SchemaError(_ctx(where, "pairs: expected a list"))
-    for i, p in enumerate(pairs):
-        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_index, p))):
-            raise SchemaError(_ctx(where, f"pairs[{i}]: expected [left, right]"))
-        if not (0 <= p[0] < dims[0] and 0 <= p[1] < dims[1]):
-            raise SchemaError(_ctx(where, f"pairs[{i}]: outside dims {dims}"))
-    return Relation.from_pairs((dims[0], dims[1]), pairs)
+    arr = _index_pairs(pairs)
+    if arr is None or ((arr < 0) | (arr >= dims)).any():
+        # name the first bad pair
+        for i, p in enumerate(pairs):
+            if not (isinstance(p, list) and len(p) == 2 and all(map(_is_index, p))):
+                raise SchemaError(_ctx(where, f"pairs[{i}]: expected [left, right]"))
+            if not (0 <= p[0] < dims[0] and 0 <= p[1] < dims[1]):
+                raise SchemaError(_ctx(where, f"pairs[{i}]: outside dims {dims}"))
+    return Relation.from_pairs((dims[0], dims[1]), arr)
 
 
 def graphs_from_json(d: dict, where: str = "") -> list[set[tuple[int, int]]]:

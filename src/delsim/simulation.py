@@ -36,6 +36,15 @@ Henzinger and Kopke, FOCS 1995); each round touches only the cells and
 blocks of the pairs it removes. At the fixpoint, Forth rebuilt from scratch
 must hold at every pair, or the chain raises
 :class:`InternalConsistencyError`.
+
+Relations are stored as pairs, never as left x right matrices: a
+:class:`Relation` is two sorted index arrays, S_0 is built by grouping both
+models' facets by label, the chain's live set is a boolean mask over S_0's
+pairs, and :class:`SimulationChain` keeps each step's removals as indices
+into S_0. A round that removes only a few pairs updates the counters one
+pair at a time in Python ints, and a few small failed blocks are expanded by
+walking their members; larger rounds use whole-array numpy calls, whose
+fixed cost would dominate a small round.
 """
 
 from __future__ import annotations
@@ -58,58 +67,100 @@ def _check_mode(mode: str) -> Mode:
 
 
 class Relation:
-    """An immutable boolean matrix over facet-index pairs (left x right)."""
+    """An immutable set of facet-index pairs (left x right).
 
-    __slots__ = ("bits",)
+    Stored as two int32 arrays ``xs`` and ``js`` in lexicographic order of
+    (left, right), with ``dims``; :attr:`bits` builds the dense boolean
+    matrix on request. ``Relation(bits)`` reads such a matrix.
+    """
+
+    __slots__ = ("dims", "xs", "js")
 
     def __init__(self, bits: np.ndarray):
         bits = np.asarray(bits, dtype=bool)
         if bits.ndim != 2:
             raise UsageError("relation must be a 2-d boolean matrix")
-        bits = bits.copy()
-        bits.setflags(write=False)
-        self.bits = bits
+        self._set(bits.shape, *np.nonzero(bits))
+
+    def _set(self, dims, xs: np.ndarray, js: np.ndarray) -> None:
+        self.dims = (int(dims[0]), int(dims[1]))
+        self.xs, self.js = (np.asarray(a, dtype=np.int32) for a in (xs, js))
+        self.xs.setflags(write=False)
+        self.js.setflags(write=False)
+
+    @classmethod
+    def _sorted(cls, dims, xs: np.ndarray, js: np.ndarray) -> "Relation":
+        """The relation with the pairs (xs[k], js[k]), which are distinct,
+        inside ``dims`` and in lexicographic order."""
+        r = cls.__new__(cls)
+        r._set(dims, xs, js)
+        return r
 
     @classmethod
     def from_pairs(cls, dims: tuple[int, int], pairs: Iterable[Sequence[int]]) -> "Relation":
-        bits = np.zeros(dims, dtype=bool)
-        for i, j in pairs:
-            if not (0 <= i < dims[0] and 0 <= j < dims[1]):
-                raise UsageError(f"pair ({i}, {j}) outside dims {dims}")
-            bits[i, j] = True
-        return cls(bits)
+        """The relation holding ``pairs`` (repeats collapse), read as one
+        ``[n, 2]`` integer array."""
+        rows, cols = (int(d) for d in dims)
+        a = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if a.size == 0:
+            a = np.zeros((0, 2), dtype=np.int64)
+        if a.ndim != 2 or a.shape[1] != 2 or a.dtype.kind not in "iu":
+            raise UsageError("pairs must be [left, right] index pairs")
+        outside = ((a < 0) | (a >= (rows, cols))).any(axis=1)
+        if outside.any():
+            i, j = a[outside][0].tolist()
+            raise UsageError(f"pair ({i}, {j}) outside dims {dims}")
+        keys = np.sort(a[:, 0].astype(np.int64) * cols + a[:, 1])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return cls._sorted((rows, cols), *np.divmod(keys, max(cols, 1)))
 
     @property
-    def dims(self) -> tuple[int, int]:
-        return self.bits.shape  # type: ignore[return-value]
+    def bits(self) -> np.ndarray:
+        """The dense boolean matrix, built on each call."""
+        bits = np.zeros(self.dims, dtype=bool)
+        bits[self.xs, self.js] = True
+        return bits
 
     @property
     def count(self) -> int:
-        return int(self.bits.sum())
+        return len(self.xs)
+
+    def keys(self) -> np.ndarray:
+        """The pairs as sorted int64 keys ``left * dims[1] + right``."""
+        return self.xs.astype(np.int64) * self.dims[1] + self.js
+
+    def partners(self, i: int) -> np.ndarray:
+        """The right facets related to left facet ``i``, in increasing order."""
+        i = range(self.dims[0])[i]
+        lo, hi = np.searchsorted(self.xs, (i, i + 1))
+        return self.js[lo:hi]
 
     def contains(self, i: int, j: int) -> bool:
-        return bool(self.bits[i, j])
+        return bool((self.partners(i) == range(self.dims[1])[j]).any())
 
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs in lexicographic order."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self.bits)]
+        return list(zip(self.xs.tolist(), self.js.tolist()))
 
     def row(self, i: int) -> np.ndarray:
-        return self.bits[i]
+        out = np.zeros(self.dims[1], dtype=bool)
+        out[self.partners(i)] = True
+        return out
 
     def is_total(self) -> bool:
-        return bool(self.bits.any(axis=1).all())
+        return bool(np.bincount(self.xs, minlength=self.dims[0]).all())
 
     def __eq__(self, other):
         return (isinstance(other, Relation)
                 and self.dims == other.dims
-                and bool(np.array_equal(self.bits, other.bits)))
+                and np.array_equal(self.xs, other.xs)
+                and np.array_equal(self.js, other.js))
 
     def __hash__(self):
-        return hash((self.dims, self.bits.tobytes()))
+        return hash((self.dims, self.xs.tobytes(), self.js.tobytes()))
 
     def __le__(self, other: "Relation") -> bool:
-        return self.dims == other.dims and not bool((self.bits & ~other.bits).any())
+        return self.dims == other.dims and bool(_find(other.keys(), self.keys())[1].all())
 
     def __repr__(self):
         return f"<Relation {self.dims[0]}x{self.dims[1]}, {self.count} pairs>"
@@ -117,16 +168,17 @@ class Relation:
 
 def totality_witnesses(r: Relation) -> list[int]:
     """Left facets with no related right facet (empty = total relation)."""
-    return [int(i) for i in np.flatnonzero(~r.bits.any(axis=1))]
+    return np.flatnonzero(np.bincount(r.xs, minlength=r.dims[0]) == 0).tolist()
 
 
 @dataclass
 class SimulationChain:
     """The descending chain S_0, S_1, ..., ending at its fixpoint.
 
-    Stored as S_0, the pairs each step removed (``removed[k - 1]`` is an
-    ``[n, 2]`` array of the pairs in S_{k-1} but not in S_k), the fixpoint,
-    and each step's size and totality; ``steps`` rebuilds the relations.
+    Stored as S_0, the pairs each step removed (``removed[k - 1]`` holds the
+    sorted indices into S_0's pairs of the pairs in S_{k-1} but not in
+    S_k), the fixpoint, and each step's size and totality; ``steps``
+    rebuilds the relations.
     """
 
     mode: Mode
@@ -143,11 +195,12 @@ class SimulationChain:
     @property
     def steps(self) -> list[Relation]:
         """S_0, S_1, ..., rebuilt from S_0 and the removed pairs."""
-        bits = self.initial.bits.copy()
-        steps = [self.initial]
+        s0 = self.initial
+        live = np.ones(s0.count, dtype=bool)
+        steps = [s0]
         for gone in self.removed:
-            bits[gone[:, 0], gone[:, 1]] = False
-            steps.append(Relation(bits))
+            live[gone] = False
+            steps.append(Relation._sorted(s0.dims, s0.xs[live], s0.js[live]))
         return steps
 
 
@@ -167,11 +220,26 @@ class VerificationReport:
                 "total": self.total, "counterexamples": self.counterexamples}
 
 
+# Rounds that remove at most this many pairs, and failed blocks with at most
+# this many members, are handled one pair at a time in Python ints: below it,
+# the fixed cost of a whole-array numpy call outweighs the work.
+_FEW = 32
+
+
 def _find(keys: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each query, a position in the sorted, non-empty ``keys`` and
-    whether the key there equals the query."""
+    """For each query, a position in the sorted ``keys`` and whether the key
+    there equals the query."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=np.intp), np.zeros(len(query), dtype=bool)
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return at, keys[at] == query
+
+
+def _ranges(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``n[k]`` items each: every item's run k and its offset
+    within that run."""
+    owner = np.repeat(np.arange(len(n)), n)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(n) - n, n)
 
 
 class _Counters:
@@ -189,7 +257,8 @@ class _Counters:
         self.lsize = np.diff(self.lstarts, append=left.n_facets)
         self.rsize = np.diff(self.rstarts, append=right.n_facets)
         self.nc = len(self.rstarts)
-        self.cells, cnt = np.unique(ys * self.nc + self.rid[yys], return_counts=True)
+        self.cells, cnt = np.unique(np.asarray(ys, dtype=np.intp) * self.nc + self.rid[yys],
+                                    return_counts=True)
         self.cnt = cnt.astype(np.int32)
         y = self.cells // self.nc
         self.blocks, self.block_of_cell, hits = np.unique(
@@ -205,10 +274,21 @@ class _Counters:
         at, found = _find(self.blocks, self.lid[xs] * self.nc + self.rid[js])
         return found & (self.miss[at] == 0)
 
-    def remove(self, ys: np.ndarray, yys: np.ndarray) -> np.ndarray:
+    def remove(self, ys: np.ndarray, yys: np.ndarray):
         """Subtract the pairs (ys, yys); return the blocks that just failed."""
-        at, k = np.unique(np.searchsorted(self.cells, ys * self.nc + self.rid[yys]),
-                          return_counts=True)
+        at = np.searchsorted(self.cells, ys * self.nc + self.rid[yys])
+        if len(at) <= _FEW:
+            cnt, miss, block_of_cell = self.cnt, self.miss, self.block_of_cell
+            fresh = []
+            for k in at.tolist():
+                cnt[k] -= 1
+                if not cnt[k]:
+                    b = block_of_cell[k]
+                    if not miss[b]:
+                        fresh.append(b)
+                    miss[b] += 1
+            return fresh
+        at, k = np.unique(at, return_counts=True)
         self.cnt[at] -= k
         blocks, k = np.unique(self.block_of_cell[at[self.cnt[at] == 0]],
                               return_counts=True)
@@ -216,31 +296,52 @@ class _Counters:
         self.miss[blocks] += k
         return fresh
 
-    def live_pairs(self, blocks: np.ndarray, live: np.ndarray, n_live: int):
-        """The pairs of ``live`` (a boolean matrix with ``n_live`` pairs)
-        in the given blocks, as two index arrays."""
-        b, c = np.divmod(self.blocks[blocks], self.nc)
+    def live_pairs(self, blocks, s0: Relation, s0_keys: np.ndarray,
+                   live: np.ndarray, n_live: int):
+        """The positions in S_0 of the ``live`` pairs (a mask over S_0's
+        pairs, ``n_live`` of them live) in the given blocks."""
+        nr = s0.dims[1]
+        if len(blocks) <= _FEW:
+            # a few small blocks: walk their (left member, right member) pairs
+            members = []
+            for k in blocks:
+                b, c = divmod(int(self.blocks[k]), self.nc)
+                if len(members) + self.lsize[b] * self.rsize[c] > _FEW:
+                    break
+                l0, r0 = self.lstarts[b], self.rstarts[c]
+                right = self.rorder[r0:r0 + self.rsize[c]].tolist()
+                members += [x * nr + j for x in self.lorder[l0:l0 + self.lsize[b]].tolist()
+                            for j in right]
+            else:
+                found = []
+                for key in members:
+                    at = int(s0_keys.searchsorted(key))
+                    if at < len(s0_keys) and s0_keys[at] == key and live[at]:
+                        found.append(at)
+                return np.array(found, dtype=np.intp)
+        keys = np.sort(self.blocks[blocks])
+        b, c = np.divmod(keys, self.nc)
         widths = self.rsize[c]
         n = self.lsize[b] * widths
         if n.sum() > n_live:
             # fewer live pairs than block members: scan the live pairs
-            xs, js = np.nonzero(live)
-            _, inside = _find(self.blocks[blocks], self.lid[xs] * self.nc + self.rid[js])
-            return xs[inside], js[inside]
+            at = np.flatnonzero(live)
+            _, inside = _find(keys, self.lid[s0.xs[at]] * self.nc + self.rid[s0.js[at]])
+            return at[inside]
         # every (left member, right member) pair of each block, vectorized
-        blk = np.repeat(np.arange(len(b)), n)
-        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        blk, k = _ranges(n)
         xs = self.lorder[self.lstarts[b][blk] + k // widths[blk]]
         js = self.rorder[self.rstarts[c][blk] + k % widths[blk]]
-        inside = live[xs, js]
-        return xs[inside], js[inside]
+        at, found = _find(s0_keys, xs * nr + js)
+        at = at[found]
+        return at[live[at]]
 
 
 class SimulationEngine:
     """Refinement machinery for one (left, right) model pair.
 
-    Precomputes the label-equality base relation; Forth reads the S-face
-    classes that both models cache.
+    Precomputes the label-equality base relation S_0 as pairs; Forth reads
+    the S-face classes that both models cache.
     """
 
     def __init__(self, left, right):
@@ -253,14 +354,18 @@ class SimulationEngine:
             np.array([label_ids.setdefault(lab, len(label_ids))
                       for lab in m.facet_labels], dtype=np.intp)
             for m in (left, right))
-        s0 = left_ids[:, None] == right_ids[None, :]
-        s0.setflags(write=False)
-        self._s0 = s0
+        # S_0: each left facet against the right facets of its label, in order
+        per_label = np.bincount(right_ids, minlength=len(label_ids))
+        xs, k = _ranges(per_label[left_ids])
+        by_label = np.argsort(right_ids, kind="stable")
+        js = by_label[(np.cumsum(per_label) - per_label)[left_ids[xs]] + k]
+        self._s0 = Relation._sorted((left.n_facets, right.n_facets), xs, js)
+        self._s0_keys = self._s0.keys()
 
     # -- core steps ----------------------------------------------------------
 
     def initial_relation(self) -> Relation:
-        return Relation(self._s0)
+        return self._s0
 
     def _groups(self, mode: Mode, own_pairs: bool = False) -> list[tuple[int, ...]]:
         """The color groups Forth ranges over. Evaluated only at the
@@ -291,75 +396,82 @@ class SimulationEngine:
         return ok
 
     def forth(self, r: Relation, mode: Mode) -> np.ndarray:
-        """The Forth operator applied to ``r``, evaluated at every pair."""
+        """The Forth operator applied to ``r``, evaluated at every pair, as
+        a dense boolean matrix."""
         _check_mode(mode)
         self._check_dims(r)
         every = tuple(np.indices(r.dims).reshape(2, -1))
-        return self._forth_at(np.nonzero(r.bits), mode, at=every).reshape(r.dims)
+        return self._forth_at((r.xs, r.js), mode, at=every).reshape(r.dims)
 
     def refine(self, r: Relation, mode: Mode) -> Relation:
         """One chain step: S_0 ∩ Forth(r) in K mode, Forth(r) in D mode."""
-        bits = self.forth(r, mode)
-        return Relation(bits & self._s0 if mode == "K" else bits)
+        mode = _check_mode(mode)
+        self._check_dims(r)
+        if mode == "D":
+            return Relation(self.forth(r, mode))
+        s0 = self._s0
+        ok = self._forth_at((r.xs, r.js), mode, at=(s0.xs, s0.js))
+        return Relation._sorted(s0.dims, s0.xs[ok], s0.js[ok])
 
     def chain(self, mode: Mode) -> SimulationChain:
         """The chain to its fixpoint, checked by a from-scratch Forth."""
         mode = _check_mode(mode)
         live, removed, sizes, totals = self._removal_rounds(mode)
-        if not self._forth_at(np.nonzero(live), mode).all():
+        s0 = self._s0
+        fixpoint = Relation._sorted(s0.dims, s0.xs[live], s0.js[live])
+        if not self._forth_at((fixpoint.xs, fixpoint.js), mode).all():
             raise InternalConsistencyError(
                 "the chain stopped at a relation that Forth does not keep")
-        return SimulationChain(mode, self.initial_relation(), removed,
-                               Relation(live), sizes, totals)
+        return SimulationChain(mode, s0, removed, fixpoint, sizes, totals)
 
     def _removal_rounds(self, mode: Mode):
         """Run the counters from S_0 until a round removes nothing; return
-        the live pairs, each step's removed pairs, sizes and totality."""
-        xs, js = np.nonzero(self._s0)
-        counters = [_Counters(self.left, self.right, g, xs, js)
+        the live mask over S_0's pairs, each step's removed pair indices,
+        sizes and totality."""
+        s0 = self._s0
+        xs = s0.xs.astype(np.intp)
+        counters = [_Counters(self.left, self.right, g, xs, s0.js)
                     for g in self._groups(mode, own_pairs=True)]
         fresh = [np.flatnonzero(c.miss) for c in counters]
-        live = self._s0.copy()
+        live = np.ones(len(xs), dtype=bool)
         row_live = np.bincount(xs, minlength=self.left.n_facets)
-        empty_rows = int((row_live == 0).sum())
-        sizes, totals, removed = [len(xs)], [empty_rows == 0], []
+        sizes, totals, removed = [len(xs)], [bool(row_live.all())], []
         while True:
             # a pair that several groups drop is dead for the groups after
             # the first, so each pair is found once
-            gone = [np.zeros((0, 2), dtype=np.intp)]
+            gone = [np.zeros(0, dtype=np.intp)]
             for c, f in zip(counters, fresh):
                 if len(f):
-                    xs, js = c.live_pairs(f, live, sizes[-1])
-                    live[xs, js] = False
-                    gone.append(np.stack([xs, js], axis=1))
+                    at = c.live_pairs(f, s0, self._s0_keys, live, sizes[-1])
+                    live[at] = False
+                    gone.append(at)
             gone = np.concatenate(gone)
             if not len(gone):
                 break
-            xs, js = gone.T
-            rows, k = np.unique(xs, return_counts=True)
-            row_live[rows] -= k
-            empty_rows += int((row_live[rows] == 0).sum())
-            removed.append(gone.astype(np.int32))
+            ys, yys = xs[gone], s0.js[gone]
+            np.subtract.at(row_live, ys, 1)
+            removed.append(np.sort(gone).astype(np.int32))
             sizes.append(sizes[-1] - len(gone))
-            totals.append(empty_rows == 0)
-            fresh = [c.remove(xs, js) for c in counters]
+            totals.append(bool(row_live.all()))
+            fresh = [c.remove(ys, yys) for c in counters]
         return live, removed, sizes, totals
 
     def verify(self, r: Relation, mode: Mode, max_counterexamples: int = 10) -> VerificationReport:
         """Check the simulation conditions for an arbitrary relation."""
         mode = _check_mode(mode)
         self._check_dims(r)
-        atom_bad = r.bits & ~self._s0
-        xs, js = np.nonzero(r.bits)
+        xs, js = r.xs, r.js
+        _, in_s0 = _find(self._s0_keys, r.keys())
         kept = self._forth_at((xs, js), mode)
-        examples: list[dict] = []
-        for i, j in np.argwhere(atom_bad)[:max_counterexamples]:
-            examples.append({"kind": "atom", "left": int(i), "right": int(j)})
+        examples: list[dict] = [
+            {"kind": "atom", "left": i, "right": j}
+            for i, j in zip(xs[~in_s0][:max_counterexamples].tolist(),
+                            js[~in_s0][:max_counterexamples].tolist())]
         room = max(max_counterexamples - len(examples), 0)
-        for i, j in zip(xs[~kept][:room], js[~kept][:room]):
-            examples.append(self._first_unmet((xs, js), int(i), int(j), mode))
+        for i, j in zip(xs[~kept][:room].tolist(), js[~kept][:room].tolist()):
+            examples.append(self._first_unmet((xs, js), i, j, mode))
         return VerificationReport(
-            atom_ok=not bool(atom_bad.any()),
+            atom_ok=bool(in_s0.all()),
             forth_ok=bool(kept.all()),
             total=r.is_total(),
             counterexamples=examples,

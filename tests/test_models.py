@@ -1,5 +1,7 @@
 """Workspaces, input models, product update, morphisms."""
 
+import time
+
 import pytest
 
 import oracles
@@ -112,6 +114,14 @@ def test_find_morphism_agrees_with_enumeration(snap1_2, agree1_2, agree2_2):
     assert found is not None and oracle is not None
     assert found.validate(snap1_2.model, agree2_2.model) == []
     assert Morphism(oracle).validate(snap1_2.model, agree2_2.model) == []
+
+
+def test_no_morphism_when_d_fixpoint_not_total(snap1_3, agree2_3):
+    """One round of 3-agent snapshots has no morphism to 2-set agreement;
+    the D chain is not total there, so the search ends before it starts."""
+    t0 = time.perf_counter()
+    assert find_morphism(snap1_3.model, agree2_3.model) is None
+    assert time.perf_counter() - t0 < 10
 
 
 def test_identity_morphism_found():

@@ -3,19 +3,23 @@ definition-chasing oracles: the face-class index, the simulation chain (also
 on models that repeat a facet), the Forth operator on arbitrary sub-relations
 of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
 counterexamples included), model checking of K and D formulas, and the
-duality between characteristic formulas and the chain.
-Also the s-expression round trip over random formulas."""
+duality between characteristic formulas and the chain, and morphism search
+against plain enumeration. Also the s-expression round trip over random
+formulas and the JSON round trips of models and relations."""
 
 import itertools
+import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from delsim import serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
 from delsim.logic import (ModelTable, atom, conj, disj, dknow, from_sexp, know,
                           neg, to_sexp)
-from delsim.models import SimplicialModel, standard_workspace
+from delsim.models import SimplicialModel, find_morphism, standard_workspace
 from delsim.obstruction import characteristic_formula, characteristic_formulas
 from delsim.simulation import Relation, SimulationEngine
 
@@ -94,13 +98,16 @@ def formulas(n_agents: int, values=st.sampled_from(VALUES)):
 
 
 @SETTINGS
-@given(model_pairs())
-def test_chain_matches_oracle(pair):
+@given(model_pairs(), st.sampled_from([0, simulation._FEW, 10**9]))
+def test_chain_matches_oracle(pair, few):
+    """Also with every round taken one pair at a time (``_FEW`` huge) or
+    with whole arrays (``_FEW`` 0)."""
     left, right = pair
     eng = SimulationEngine(left, right)
-    for mode in ("K", "D"):
-        steps = [frozenset(s.pairs()) for s in eng.chain(mode).steps]
-        assert steps == oracles.chain_naive(left, right, mode), mode
+    with mock.patch.object(simulation, "_FEW", few):
+        for mode in ("K", "D"):
+            steps = [frozenset(s.pairs()) for s in eng.chain(mode).steps]
+            assert steps == oracles.chain_naive(left, right, mode), mode
 
 
 @SETTINGS
@@ -260,3 +267,42 @@ SEXP_VALUES = (st.text(alphabet='"\\() \n\tab', max_size=6)
 def test_sexp_round_trip(phi):
     for share in (True, False):
         assert from_sexp(to_sexp(phi, share=share)) is phi
+
+
+@SETTINGS
+@given(st.booleans().flatmap(model_pairs))
+def test_find_morphism_matches_enumeration(pair):
+    """A morphism is found exactly when plain enumeration finds one, and
+    every map found is a morphism."""
+    source, target = pair
+    found = find_morphism(source, target)
+    exists = next(oracles.morphisms_naive(source, target), None) is not None
+    assert (found is not None) == exists
+    if found is not None:
+        assert found.validate(source, target) == []
+
+
+@SETTINGS
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+def test_relation_json_round_trip(rows, cols, data):
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    pairs = data.draw(st.lists(cells, max_size=20)) if rows and cols else []
+    r = Relation.from_pairs((rows, cols), pairs)
+    assert r.pairs() == sorted(set(pairs))
+    assert Relation(r.bits) == r
+    text = serialize.dumps(serialize.relation_to_json(r))
+    back = serialize.relation_from_json(json.loads(text))
+    assert back == r and hash(back) == hash(r)
+    assert serialize.dumps(serialize.relation_to_json(back)) == text
+
+
+@SETTINGS
+@given(st.booleans().flatmap(lambda repeats: N_AGENTS.flatmap(
+    lambda n: models(n, repeats=repeats))))
+def test_model_json_round_trip(model):
+    text = serialize.dumps(serialize.model_to_json(model))
+    back = serialize.model_from_json(json.loads(text))
+    assert back.workspace == model.workspace
+    assert back.complex.vertices == model.complex.vertices
+    assert [f.vertices for f in back.facets] == [f.vertices for f in model.facets]
+    assert serialize.dumps(serialize.model_to_json(back)) == text

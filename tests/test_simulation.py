@@ -9,6 +9,7 @@ import oracles
 from delsim import simulation
 from delsim.errors import InternalConsistencyError, UsageError
 from delsim.models import input_model, standard_workspace
+from delsim.obstruction import decide_obstruction
 from delsim.simulation import Relation, SimulationEngine, totality_witnesses
 
 # chain sizes frozen after matching the set-based oracle pair-for-pair
@@ -104,8 +105,10 @@ def test_chain_records_match_steps(snap1_2, agree1_2, stair):
             assert ch.steps[-1] == ch.fixpoint
             assert ch.step_sizes == [s.count for s in ch.steps]
             assert ch.step_total == [s.is_total() for s in ch.steps]
+            s0_pairs = ch.initial.pairs()
             for a, b, gone in zip(ch.steps, ch.steps[1:], ch.removed):
-                assert sorted(map(tuple, gone.tolist())) == \
+                # removed pairs are sorted indices into S_0's pairs
+                assert [s0_pairs[p] for p in gone.tolist()] == \
                     sorted(set(a.pairs()) - set(b.pairs()))
             for k, step in enumerate(ch.steps[1:]):
                 assert step == eng.refine(ch.steps[k], mode)
@@ -214,3 +217,18 @@ def test_dims_validation(snap1_2, agree1_2):
     eng = SimulationEngine(snap1_2.model, agree1_2.model)
     with pytest.raises(UsageError):
         eng.verify(Relation.from_pairs((3, 3), [(0, 0)]), "K")
+
+
+def test_one_round_is_vs_two_set_agreement_claim(snap1_3, agree2_3):
+    """The paper's one-round claim at small scale (3 agents, inputs
+    {0, 1, 2}, 351 x 273 facets): K finds no obstruction to 2-set
+    agreement, D obstructs at depth 4 with a model-checked formula."""
+    eng = SimulationEngine(snap1_3.model, agree2_3.model)
+    d = eng.chain("D")
+    assert d.step_sizes == [3549, 1695, 1587, 1425, 0]
+    assert d.step_total == [True, True, True, False, False]
+    k = eng.chain("K")
+    assert k.step_sizes == [3549, 1695] and k.fixpoint.is_total()
+    verdict = decide_obstruction(snap1_3.model, agree2_3.model, "D")
+    assert (verdict.exists, verdict.n, verdict.witness) == (True, 4, 0)
+    assert verdict.verification.confirms
