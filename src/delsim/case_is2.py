@@ -13,32 +13,57 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError
-from .generators import AgreementRun, SnapshotRun, view_agents, view_values
+from .generators import AgreementRun, SnapshotRun, explicit_agreement_relation
 from .simulation import Relation
 
 
-@dataclass
+@dataclass(eq=False)
 class ConflictRelation:
     """Directed vertex pairs built in layers: the seed layer holds co-facet
     pairs (x, y) where x's view misses p or y's view misses q; each later
     layer closes under two-step paths through a common facet. ``final`` drops
-    the seed layer, keeping only genuinely derived pairs."""
+    the seed layer, keeping only genuinely derived pairs.
+
+    Stored as the sorted keys ``x * n_vertices + y`` of the last layer's
+    pairs and, per key, the first layer holding it; ``layers`` and ``final``
+    build the pair sets on first read."""
 
     p: int
     q: int
-    layers: tuple[frozenset, ...]
-    final: frozenset
+    n_vertices: int
+    keys: np.ndarray
+    joined: np.ndarray
 
     @property
     def stabilized_at(self) -> int:
-        return len(self.layers) - 1
+        return int(self.joined.max()) if len(self.joined) else 0
 
     def layer_sizes(self) -> list[int]:
-        return [len(l) for l in self.layers]
+        return np.cumsum(np.bincount(self.joined, minlength=self.stabilized_at + 1)).tolist()
+
+    def pairs(self, layer: int | None = None) -> np.ndarray:
+        """The pairs of one layer (default: ``final``) as a sorted ``[n, 2]``
+        array."""
+        keep = self.joined > 0 if layer is None else self.joined <= layer
+        return np.stack(np.divmod(self.keys[keep], self.n_vertices), axis=1)
+
+    @cached_property
+    def layers(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(map(tuple, self.pairs(k).tolist()))
+                     for k in range(self.stabilized_at + 1))
+
+    @cached_property
+    def final(self) -> frozenset:
+        return frozenset(map(tuple, self.pairs().tolist()))
+
+    @property
+    def final_keys(self) -> np.ndarray:
+        return self.keys[self.joined > 0]
 
 
 def _require_case(snap: SnapshotRun) -> None:
@@ -55,32 +80,34 @@ def conflict_relation(snap: SnapshotRun, p: int, q: int) -> ConflictRelation:
         raise UsageError(f"need agents p < q, got {p}, {q}")
     model = snap.model
     n_vertices = len(model.complex.vertices)
-    misses_p = np.zeros(n_vertices, dtype=bool)
-    misses_q = np.zeros(n_vertices, dtype=bool)
-    for v in range(n_vertices):
-        agents = view_agents(snap.vertex_info(v)[2])
-        misses_p[v] = p not in agents
-        misses_q[v] = q not in agents
+    table = model.vertex_table.astype(np.int64)
+    # every facet's ordered vertex pairs, as indices into their sorted keys
+    cols = list(itertools.permutations(range(table.shape[1]), 2))
+    keys, at = np.unique(
+        np.stack([table[:, a] * n_vertices + table[:, b] for a, b in cols], axis=1).ravel(),
+        return_inverse=True)
+    at = at.reshape(len(table), len(cols))
+    col = {ab: k for k, ab in enumerate(cols)}
+    # the two-step paths x -> z -> y inside each facet
+    paths = list(itertools.permutations(range(table.shape[1]), 3))
+    xz = np.concatenate([at[:, col[x, z]] for x, z, _ in paths])
+    zy = np.concatenate([at[:, col[z, y]] for _, z, y in paths])
+    xy = np.concatenate([at[:, col[x, y]] for x, _, y in paths])
 
-    seed: set[tuple[int, int]] = set()
-    for f in model.facets:
-        for x, y in itertools.permutations(f.vertices, 2):
-            if misses_p[x] or misses_q[y]:
-                seed.add((x, y))
-
-    layers = [frozenset(seed)]
-    current = set(seed)
+    agents, _ = snap.view_masks
+    current = ((agents[keys // n_vertices] >> p & 1) == 0) \
+        | ((agents[keys % n_vertices] >> q & 1) == 0)
+    joined = np.where(current, 0, -1)
+    layer = 0
     while True:
-        added = set()
-        for f in model.facets:
-            for x, z, y in itertools.permutations(f.vertices, 3):
-                if (x, y) not in current and (x, z) in current and (z, y) in current:
-                    added.add((x, y))
-        if not added:
+        # every path is read against the layer as it was at the round's start
+        added = xy[current[xz] & current[zy] & ~current[xy]]
+        if not len(added):
             break
-        current |= added
-        layers.append(frozenset(current))
-    return ConflictRelation(p, q, tuple(layers), frozenset(current - seed))
+        layer += 1
+        current[added] = True
+        joined[added] = layer
+    return ConflictRelation(p, q, n_vertices, keys[current], joined[current])
 
 
 def initial_block_facets(snap: SnapshotRun, agent: int) -> frozenset:
@@ -116,29 +143,32 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
         conflicts = {(p, q): conflict_relation(snap, p, q)
                      for p, q in itertools.combinations(range(3), 2)}
 
-    by_inputs: dict[tuple, list[int]] = {}
-    for j in range(agree.model.n_facets):
-        by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
-
-    pairs = []
-    for i, facet in enumerate(snap.model.facets):
-        inputs = snap.run.facet_inputs[i]
-        seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
-        forbidden: list[tuple[int, int, int, int]] = []  # (a, b, i_p, i_q)
-        if len(set(inputs)) == 3:
-            for a, b in itertools.permutations(range(3), 2):
-                for (p, q), rel in conflicts.items():
-                    if (facet.vertices[a], facet.vertices[b]) in rel.final:
-                        forbidden.append((a, b, inputs[p], inputs[q]))
-        for j in by_inputs.get(inputs, ()):
-            decisions = agree.facet_decisions(j)
-            if not all(decisions[a] in seen[a] for a in range(3)):
+    # (1) and (2)
+    base = explicit_agreement_relation(snap, agree)
+    xs, js = base.xs, base.js
+    # (3): on facets with pairwise distinct inputs, for each conflict pair of
+    # agent a's and agent b's vertices, a must not decide p's input while b
+    # decides q's (values as indices, per candidate pair)
+    index = {v: i for i, v in enumerate(snap.workspace.values)}
+    inputs, decide = (
+        np.array([[index[v] for v in row] for row in rows], dtype=np.int64)[js]
+        for rows in (agree.run.facet_inputs,
+                     [agree.facet_decisions(j) for j in range(agree.model.n_facets)]))
+    distinct = ((inputs[:, 0] != inputs[:, 1]) & (inputs[:, 0] != inputs[:, 2])
+                & (inputs[:, 1] != inputs[:, 2]))
+    table = snap.model.vertex_table.astype(np.int64)
+    n_vertices = len(snap.model.complex.vertices)
+    ok = np.ones(len(xs), dtype=bool)
+    for a, b in itertools.permutations(range(3), 2):
+        edge = table[:, a] * n_vertices + table[:, b]
+        for (p, q), rel in conflicts.items():
+            final = rel.final_keys
+            if not len(final):
                 continue
-            if any(decisions[a] == ip and decisions[b] == iq
-                   for a, b, ip, iq in forbidden):
-                continue
-            pairs.append((i, j))
-    return Relation.from_pairs((snap.model.n_facets, agree.model.n_facets), pairs)
+            in_final = final[np.minimum(np.searchsorted(final, edge), len(final) - 1)] == edge
+            ok &= ~(in_final[xs] & distinct & (decide[:, a] == inputs[:, p])
+                    & (decide[:, b] == inputs[:, q]))
+    return Relation.from_pairs(base.dims, np.stack([xs[ok], js[ok]], axis=1))
 
 
 def location_violations(snap: SnapshotRun, rel: ConflictRelation) -> list[tuple[int, int]]:
@@ -177,6 +207,6 @@ def conflict_report(rel: ConflictRelation) -> dict:
     return {
         "p": rel.p,
         "q": rel.q,
-        "layers": [sorted([list(pair) for pair in layer]) for layer in rel.layers],
-        "final": sorted([list(pair) for pair in rel.final]),
+        "layers": [rel.pairs(k).tolist() for k in range(rel.stabilized_at + 1)],
+        "final": rel.pairs().tolist(),
     }

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .complexes import ChromaticComplex, Vertex
 from .errors import InternalConsistencyError, UsageError
 from .logic import Formula, atom, conj, disj, neg
 from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
                      Value, Workspace, input_model, product_update)
-from .simulation import Relation
+from .simulation import Relation, SimulationEngine
 
 # A view is an input value (round 0) or a frozenset of (agent, view) pairs.
 View = object
@@ -459,6 +461,36 @@ class SnapshotRun:
     def facet_schedules(self, product_facet: int):
         return self.protocol.schedules[self.run.action_facet(product_facet)]
 
+    @cached_property
+    def view_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per product vertex, bitmasks of what its view mentions: the agents
+        (bit a for agent a) and the values (bit i for ``workspace.values[i]``),
+        i.e. :func:`view_agents` and :func:`view_values` of its view. Each
+        distinct sub-view is flattened once."""
+        value_bit = {v: 1 << i for i, v in enumerate(self.workspace.values)}
+        memo: dict = {}
+
+        def masks(view) -> tuple[int, int]:
+            got = memo.get(view)
+            if got is None:
+                agents = values = 0
+                if all(not isinstance(v, frozenset) for _, v in view):
+                    for p, v in view:
+                        agents |= 1 << p
+                        values |= value_bit[v]
+                else:
+                    for _, sub in view:
+                        a, v = masks(sub)
+                        agents |= a
+                        values |= v
+                got = memo[view] = (agents, values)
+            return got
+
+        per_action = [masks(view) for _, _, view in self.protocol.vertex_data]
+        table = np.array([per_action[act] for _, act in self.run.result.vertex_sources],
+                         dtype=np.int64)
+        return table[:, 0], table[:, 1]
+
 
 def snapshot_run(workspace: Workspace, rounds: int,
                  inputs: Sequence[Value] | None = None) -> SnapshotRun:
@@ -531,22 +563,23 @@ def staircase_setup(max_decision: int) -> StaircaseSetup:
 def explicit_agreement_relation(snap: SnapshotRun, agree: AgreementRun) -> Relation:
     """The by-construction K-simulation from snapshot runs to agreement
     outputs: inputs agree, and every decision is a value the deciding agent's
-    view has seen."""
+    view has seen.
+
+    Read as masks over the label-equal pairs (for runs over the input model,
+    equal labels are equal inputs), with each view's values as a bitmask
+    indexed by the decision."""
     if snap.workspace != agree.workspace:
         raise UsageError("runs use different workspaces")
-    n = snap.workspace.n_agents
-    by_inputs: dict[tuple, list[int]] = {}
-    for j in range(agree.model.n_facets):
-        by_inputs.setdefault(agree.run.facet_inputs[j], []).append(j)
-
-    pairs = []
-    for i, facet in enumerate(snap.model.facets):
-        seen = [view_values(snap.vertex_info(v)[2]) for v in facet.vertices]
-        for j in by_inputs.get(snap.run.facet_inputs[i], ()):
-            decisions = agree.facet_decisions(j)
-            if all(decisions[a] in seen[a] for a in range(n)):
-                pairs.append((i, j))
-    return Relation.from_pairs((snap.model.n_facets, agree.model.n_facets), pairs)
+    s0 = SimulationEngine(snap.model, agree.model).initial_relation()
+    index = {v: i for i, v in enumerate(snap.workspace.values)}
+    decide = np.array([[index[v] for v in agree.facet_decisions(j)]
+                       for j in range(agree.model.n_facets)], dtype=np.int64)
+    _, seen = snap.view_masks
+    table = snap.model.vertex_table
+    ok = np.ones(s0.count, dtype=bool)
+    for a in range(snap.workspace.n_agents):
+        ok &= (seen[table[s0.xs, a]] >> decide[s0.js, a] & 1) == 1
+    return Relation.from_pairs(s0.dims, np.stack([s0.xs[ok], s0.js[ok]], axis=1))
 
 
 def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphism:

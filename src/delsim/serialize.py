@@ -7,7 +7,9 @@ Readers validate shape and report failures with file and JSON-path context.
 
 from __future__ import annotations
 
+import itertools
 import json
+from operator import itemgetter
 from typing import IO, Any
 
 import numpy as np
@@ -27,7 +29,69 @@ PROVENANCE_FORMAT = "delsim-provenance/1"
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, written
+    without the standard library's pure-Python indenting encoder.
+
+    Lists of ints and lists of int lists (facets, relation pairs, atoms) are
+    written by one join or one ``%`` format each; any other scalar or shape
+    that :func:`_write` does not handle goes to ``json.dumps`` itself.
+    """
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+# the types json writes as arrays
+_SEQUENCES = frozenset({list, tuple})
+
+
+def _write(o, nl: str, out: list[str]) -> None:
+    """Append ``o`` as indented JSON; ``nl`` is a newline and the indent of
+    the line that ``o`` starts on."""
+    if type(o) is str:
+        out.append(_encode_str(o))
+    elif type(o) is int:
+        out.append(int.__repr__(o))
+    elif type(o) in (list, tuple) and o:
+        inner = nl + " "
+        text = _int_lists(o, nl)
+        if text is not None:
+            out.append(text)
+            return
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif type(o) is dict and o and set(map(type, o)) == {str}:
+        inner = nl + " "
+        sep = "{" + inner
+        for key, value in sorted(o.items()):
+            out.append(sep + _encode_str(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        out.append(json.dumps(o, sort_keys=True, indent=1).replace("\n", nl))
+
+
+def _int_lists(items, nl: str) -> str | None:
+    """The nonempty list ``items`` as indented JSON when it holds only ints
+    or only lists of ints (ragged allowed); else None."""
+    inner = nl + " "
+    if set(map(type, items)) == {int}:
+        return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + nl + "]"
+    flat = _flat_ints(items, row_types=_SEQUENCES)
+    if flat is None:
+        return None
+    deeper = inner + " "
+    rows = {n: "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" if n else "[]"
+            for n in set(map(len, items))}
+    return ("[" + inner + ("," + inner).join(map(rows.__getitem__, map(len, items)))
+            + nl + "]") % tuple(flat)
 
 
 def _ctx(where: str, path: str) -> str:
@@ -74,11 +138,70 @@ def _workspace_from_json(d: dict, where: str) -> Workspace:
     return Workspace(tuple(agents), tuple(values))
 
 
+def _flat_ints(rows: list, width: int | None = None,
+               row_types: frozenset = frozenset({list})) -> list | None:
+    """The items of ``rows`` in order, when the type of every row is in
+    ``row_types``, every item is an int (not a bool) and, if ``width`` is
+    given, every row has that length; else None."""
+    if not set(map(type, rows)) <= row_types:
+        return None
+    if width is not None and not set(map(len, rows)) <= {width}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    return flat if set(map(type, flat)) <= {int} else None
+
+
+def _vertices_from_json(raw: list) -> list[Vertex] | None:
+    """The vertices in id order, when every vertex is an object with int
+    ``id`` and ``color``, the ids are 0..n-1, and ``atoms`` (if present)
+    lists ``[agent, value]`` pairs of an int and an int or str; else None."""
+    if not set(map(type, raw)) <= {dict}:
+        return None
+    try:
+        ids = list(map(itemgetter("id"), raw))
+        colors = list(map(itemgetter("color"), raw))
+    except KeyError:
+        return None
+    atoms = [rv.get("atoms", []) for rv in raw]
+    if not (set(map(type, ids + colors)) <= {int}
+            and sorted(ids) == list(range(len(ids)))
+            and set(map(type, atoms)) <= {list}):
+        return None
+    pairs = list(itertools.chain.from_iterable(atoms))
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if not (set(map(type, flat[0::2])) <= {int}
+            and set(map(type, flat[1::2])) <= {int, str}):
+        return None
+    out: list = [None] * len(ids)
+    for vid, color, own in zip(ids, colors, atoms):
+        out[vid] = Vertex(id=vid, color=color, atoms=frozenset(map(tuple, own)))
+    return out
+
+
 def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
     raw_vertices = _need(d, "vertices", where)
     raw_facets = _need(d, "facets", where)
     if not isinstance(raw_vertices, list) or not isinstance(raw_facets, list):
         raise SchemaError(_ctx(where, "vertices/facets must be lists"))
+    vertices = _vertices_from_json(raw_vertices)
+    if vertices is None:
+        vertices = _checked_vertices(raw_vertices, where)
+    flat = _flat_ints(raw_facets)
+    if flat is None or (flat and not 0 <= min(flat) <= max(flat) < len(vertices)):
+        # name the first bad facet
+        for i, rf in enumerate(raw_facets):
+            if not (isinstance(rf, list) and all(isinstance(v, int) for v in rf)):
+                raise SchemaError(_ctx(where, f"facets[{i}]: expected a list of vertex ids"))
+            for v in rf:
+                if not 0 <= v < len(vertices):
+                    raise SchemaError(_ctx(where, f"facets[{i}]: unknown vertex {v}"))
+    return ChromaticComplex(n_agents, vertices, raw_facets)
+
+
+def _checked_vertices(raw_vertices: list, where: str) -> list[Vertex]:
+    """The vertices, checked one at a time: names the first bad one."""
     ordered: dict[int, Vertex] = {}
     for i, rv in enumerate(raw_vertices):
         path = f"vertices[{i}]"
@@ -101,14 +224,7 @@ def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
         ordered[vid] = Vertex(id=vid, color=color, atoms=frozenset(pairs))
     if sorted(ordered) != list(range(len(ordered))):
         raise SchemaError(_ctx(where, "vertex ids must be dense 0..n-1"))
-    vertices = [ordered[i] for i in range(len(ordered))]
-    for i, rf in enumerate(raw_facets):
-        if not (isinstance(rf, list) and all(isinstance(v, int) for v in rf)):
-            raise SchemaError(_ctx(where, f"facets[{i}]: expected a list of vertex ids"))
-        for v in rf:
-            if not 0 <= v < len(vertices):
-                raise SchemaError(_ctx(where, f"facets[{i}]: unknown vertex {v}"))
-    return ChromaticComplex(n_agents, vertices, raw_facets)
+    return [ordered[i] for i in range(len(ordered))]
 
 
 def model_from_json(d: dict, where: str = "") -> SimplicialModel:
@@ -171,20 +287,6 @@ def _is_index(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _index_pairs(items: list) -> np.ndarray | None:
-    """``items`` as one ``[n, 2]`` int64 array when every item is a list of
-    two indices (ints, not bools) that fit in int64; else None."""
-    if not items:
-        return np.zeros((0, 2), dtype=np.int64)
-    try:
-        a = np.array(items, dtype=object)
-        if a.shape != (len(items), 2) or not np.frompyfunc(_is_index, 1, 1)(a).all():
-            return None
-        return a.astype(np.int64)
-    except (ValueError, OverflowError):
-        return None
-
-
 def relation_from_json(d: dict, where: str = "") -> Relation:
     if not isinstance(d, dict):
         raise SchemaError(_ctx(where, "expected a JSON object"))
@@ -195,7 +297,11 @@ def relation_from_json(d: dict, where: str = "") -> Relation:
         raise SchemaError(_ctx(where, "dims: expected [rows, cols]"))
     if not isinstance(pairs, list):
         raise SchemaError(_ctx(where, "pairs: expected a list"))
-    arr = _index_pairs(pairs)
+    flat = _flat_ints(pairs, 2, _SEQUENCES)
+    try:
+        arr = None if flat is None else np.array(flat, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        arr = None
     if arr is None or ((arr < 0) | (arr >= dims)).any():
         # name the first bad pair
         for i, p in enumerate(pairs):
@@ -203,7 +309,7 @@ def relation_from_json(d: dict, where: str = "") -> Relation:
                 raise SchemaError(_ctx(where, f"pairs[{i}]: expected [left, right]"))
             if not (0 <= p[0] < dims[0] and 0 <= p[1] < dims[1]):
                 raise SchemaError(_ctx(where, f"pairs[{i}]: outside dims {dims}"))
-    return Relation.from_pairs((dims[0], dims[1]), arr)
+    return Relation.from_pairs((dims[0], dims[1]), pairs if arr is None else arr)
 
 
 def graphs_from_json(d: dict, where: str = "") -> list[set[tuple[int, int]]]:

@@ -59,6 +59,9 @@ from .errors import InternalConsistencyError, UsageError
 
 Mode = Literal["K", "D"]
 
+# Relations store facet indices as int32.
+_MAX_DIM = 2**31 - 1
+
 
 def _check_mode(mode: str) -> Mode:
     if mode not in ("K", "D"):
@@ -101,6 +104,8 @@ class Relation:
         """The relation holding ``pairs`` (repeats collapse), read as one
         ``[n, 2]`` integer array."""
         rows, cols = (int(d) for d in dims)
+        if not (0 <= rows <= _MAX_DIM and 0 <= cols <= _MAX_DIM):
+            raise UsageError(f"dims {dims} outside 0..{_MAX_DIM}: indices are int32")
         a = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         if a.size == 0:
             a = np.zeros((0, 2), dtype=np.int64)
@@ -407,11 +412,20 @@ class SimulationEngine:
         """One chain step: S_0 ∩ Forth(r) in K mode, Forth(r) in D mode."""
         mode = _check_mode(mode)
         self._check_dims(r)
-        if mode == "D":
-            return Relation(self.forth(r, mode))
-        s0 = self._s0
-        ok = self._forth_at((r.xs, r.js), mode, at=(s0.xs, s0.js))
-        return Relation._sorted(s0.dims, s0.xs[ok], s0.js[ok])
+        if mode == "K":
+            at = self._s0
+        else:
+            # The full group's obligation at (x, j) for Y = x asks for an
+            # r-partner of x with j's vertex set, so Forth(r) lies inside the
+            # pairs (x, j) with j in the full-color class of an r-partner of x.
+            ids, order, starts = self.right.face_classes(range(self.right.workspace.n_agents))
+            size = np.diff(starts, append=self.right.n_facets)
+            c = ids[r.js]
+            owner, k = _ranges(size[c])
+            at = Relation.from_pairs(r.dims, np.stack(
+                [r.xs[owner], order[starts[c][owner] + k]], axis=1))
+        ok = self._forth_at((r.xs, r.js), mode, at=(at.xs, at.js))
+        return Relation._sorted(at.dims, at.xs[ok], at.js[ok])
 
     def chain(self, mode: Mode) -> SimulationChain:
         """The chain to its fixpoint, checked by a from-scratch Forth."""

@@ -247,3 +247,77 @@ def conflict_naive(facet_vertices, view_agent_sets, p: int, q: int):
         cur |= added
         layers.append(frozenset(cur))
     return layers, frozenset(cur - seed)
+
+
+# -- the hand-built relation of the two-round case study --------------------
+
+def view_leaves(view) -> frozenset:
+    """The (agent, input) pairs at the bottom of a nested snapshot view."""
+    if all(not isinstance(sub, frozenset) for _, sub in view):
+        return frozenset(view)
+    out = set()
+    for _, sub in view:
+        out |= view_leaves(sub)
+    return frozenset(out)
+
+
+def _views_seen(snap):
+    """Per product vertex, the agents and the values its raw snapshot view
+    (``vertex_data`` through the product's vertex sources) mentions."""
+    leaves = [view_leaves(snap.protocol.vertex_data[act][2])
+              for _, act in snap.run.result.vertex_sources]
+    return [{p for p, _ in lv} for lv in leaves], [{v for _, v in lv} for lv in leaves]
+
+
+def _decisions(agree, j: int) -> tuple:
+    return agree.task.facet_decisions[agree.run.result.facet_sources[j][1]]
+
+
+def explicit_agreement_naive(snap, agree) -> frozenset:
+    """The pairs (protocol facet, output facet) with (1) equal inputs, read
+    from the facet labels, where (2) every agent decides a value its raw
+    view has seen, by the task's decision table."""
+    model, task = snap.model, agree.model
+    cx = model.complex
+    _, values_seen = _views_seen(snap)
+
+    def inputs_of(m, i):
+        return tuple(v for _, v in sorted(facet_label(m, i)))
+
+    by_inputs: dict[tuple, list[int]] = {}
+    for j in range(task.n_facets):
+        by_inputs.setdefault(inputs_of(task, j), []).append(j)
+    out = set()
+    for i, f in enumerate(model.facets):
+        of_color = {cx.vertices[v].color: v for v in f.vertices}
+        for j in by_inputs.get(inputs_of(model, i), []):
+            decide = _decisions(agree, j)
+            if all(decide[a] in values_seen[of_color[a]] for a in of_color):
+                out.add((i, j))
+    return frozenset(out)
+
+
+def explicit_sa2_naive(snap, agree) -> frozenset:
+    """The case study's explicit relation: the pairs of
+    :func:`explicit_agreement_naive` where, (3) on facets with pairwise
+    distinct inputs, no ordered agent pair (a, b) whose vertices form a
+    derived conflict pair of R^{p,q} (from :func:`conflict_naive`) decides
+    (input of p, input of q)."""
+    cx = snap.model.complex
+    agents_seen, _ = _views_seen(snap)
+    facet_vertices = [f.vertices for f in snap.model.facets]
+    finals = {(p, q): conflict_naive(facet_vertices, agents_seen, p, q)[1]
+              for p, q in itertools.combinations(range(3), 2)}
+    out = set()
+    for i, j in explicit_agreement_naive(snap, agree):
+        inputs = tuple(v for _, v in sorted(facet_label(snap.model, i)))
+        of_color = {cx.vertices[v].color: v for v in facet_vertices[i]}
+        decide = _decisions(agree, j)
+        if len(set(inputs)) == 3 and any(
+                (of_color[a], of_color[b]) in final
+                and decide[a] == inputs[p] and decide[b] == inputs[q]
+                for a, b in itertools.permutations(range(3), 2)
+                for (p, q), final in finals.items()):
+            continue
+        out.add((i, j))
+    return frozenset(out)

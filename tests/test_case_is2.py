@@ -97,6 +97,13 @@ def test_explicit_relation_is_total_d_simulation_single_input(snap_si, ws3):
     assert report.is_simulation and report.total
 
 
+@pytest.mark.parametrize("snap", ["snap_si", "snap2_3"])
+def test_explicit_relation_matches_oracle(request, snap, agree2_3):
+    snap = request.getfixturevalue(snap)
+    rel = explicit_sa2_relation(snap, agree2_3)
+    assert frozenset(rel.pairs()) == oracles.explicit_sa2_naive(snap, agree2_3)
+
+
 def test_explicit_relation_needs_k2(snap_si, ws3):
     with pytest.raises(UsageError):
         explicit_sa2_relation(snap_si, agreement_run(ws3, 1))

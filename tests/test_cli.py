@@ -1,14 +1,19 @@
 """Command-line behavior: pipelines, file outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delsim import cli, serialize
 from delsim.cli import main
-from delsim.logic import from_sexp
+from delsim.logic import atom, from_sexp, know, to_sexp
 
 
 def run_cli(args):
@@ -190,6 +195,7 @@ def test_knowall_generation(tmp_path):
     lambda dims: "dims",
     lambda dims: {"dims": [True, dims[1]], "pairs": []},
     lambda dims: {"dims": dims, "pairs": [[0, False]]},
+    lambda dims: {"dims": [dims[0], 10**30], "pairs": [[0, 0]]},
 ])
 def test_malformed_relation_is_schema_error(consensus_files, tmp_path, capsys, doc):
     dims = [len(read(consensus_files[side])["facets"]) for side in ("proto", "task")]
@@ -275,3 +281,95 @@ def test_case_study_single_input(tmp_path):
         dump = read(path)
         assert {"p", "q", "layers", "final"} <= set(dump)
         assert len(dump["final"]) == 24
+
+
+# -- exit codes on random well-formed and mutated files ----------------------
+
+def _json_paths(doc, path=()):
+    """Every (container, key) position inside ``doc``, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutated(doc, data) -> str:
+    """The text of ``doc`` as drawn: unchanged, or with one key or item
+    dropped, one value of a wrong type, an int made a bool or out of range,
+    or the text cut short."""
+    kind = data.draw(st.sampled_from(
+        ["none", "drop", "type", "bool", "range", "truncate"]), label="mutation")
+    doc = json.loads(json.dumps(doc))
+    paths = list(_json_paths(doc))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+    if kind != "none" and paths:
+        if kind in ("bool", "range"):
+            paths = [p for p in paths if type(_at(doc, p)) is int] or paths
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "type":
+            parent[key] = data.draw(st.sampled_from(["x", 1.5, None, [], {}, [[0]]]))
+        elif kind == "bool":
+            parent[key] = data.draw(st.booleans())
+        else:
+            parent[key] = data.draw(st.sampled_from([-1, 2**31, 2**63, 10**30]))
+    return json.dumps(doc)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["relation", "formula", "simulate"]), st.sampled_from("KD"),
+       st.data())
+def test_cli_exit_codes_on_random_files(snap1_2, agree1_2, command, mode, data):
+    """Reading well-formed or mutated files, ``check --relation``, ``check
+    --formula`` and ``simulate`` exit 0, 1 or 2 and print no traceback."""
+    left, right = (serialize.model_to_json(r.model) for r in (snap1_2, agree1_2))
+    dims = [len(left["facets"]), len(right["facets"])]
+    cells = st.tuples(st.integers(0, dims[0] - 1), st.integers(0, dims[1] - 1)).map(list)
+    relation = {"format": serialize.RELATION_FORMAT, "dims": dims,
+                "pairs": data.draw(st.lists(cells, max_size=8), label="pairs")}
+    formula = to_sexp(know(data.draw(st.integers(0, 1)), atom(0, data.draw(st.integers(0, 1)))))
+    target = data.draw(st.sampled_from(
+        {"relation": ["left", "right", "relation"], "formula": ["left", "formula"],
+         "simulate": ["left", "right"]}[command]), label="mutated file")
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"left": left, "right": right, "relation": relation}
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = os.path.join(tmp, name + ".json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(_mutated(doc, data) if name == target else json.dumps(doc))
+        paths["formula"] = os.path.join(tmp, "phi.sexp")
+        if target == "formula":
+            cut = data.draw(st.integers(0, len(formula)), label="formula cut")
+            formula = formula[:cut] + data.draw(st.sampled_from(["", ")", "(", "x", "2"]))
+        with open(paths["formula"], "w", encoding="utf-8") as fh:
+            fh.write(formula)
+        argv = {"relation": ["check", "--left", paths["left"], "--right", paths["right"],
+                             "--relation", paths["relation"], "--mode", mode],
+                "formula": ["check", "--model", paths["left"], "--formula",
+                            paths["formula"]],
+                "simulate": ["simulate", "--left", paths["left"], "--right",
+                             paths["right"], "--mode", mode]}[command]
+        argv += ["-o", os.path.join(tmp, "out.json")]
+        code, err = _run_quietly(argv)
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

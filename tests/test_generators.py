@@ -212,6 +212,14 @@ def test_explicit_agreement_relation_clauses(snap1_3, agree2_3):
             assert all(decisions[a] in seen[a] for a in range(3))
 
 
+@pytest.mark.parametrize("snap,agree", [("snap1_2", "agree1_2"), ("snap1_2", "agree2_2"),
+                                        ("snap1_3", "agree2_3"), ("snap2_3", "agree2_3")])
+def test_explicit_agreement_relation_matches_oracle(request, snap, agree):
+    snap, agree = request.getfixturevalue(snap), request.getfixturevalue(agree)
+    rel = explicit_agreement_relation(snap, agree)
+    assert frozenset(rel.pairs()) == oracles.explicit_agreement_naive(snap, agree)
+
+
 def test_decide_own_input_morphism(snap1_2, agree2_2):
     f = decide_own_input_morphism(snap1_2, agree2_2)
     assert f.validate(snap1_2.model, agree2_2.model) == []
@@ -318,3 +326,17 @@ def test_constant_true_protocol_reproduces_input_model(stair):
     assert action.n_facets == 1
     labels = {m.label(i) for i in range(4)}
     assert len(labels) == 4
+
+
+@pytest.mark.parametrize("run", ["snap1_2", "snap1_3", "snap2_3", "snap_si"])
+def test_view_masks_match_view_helpers(request, run):
+    snap = request.getfixturevalue(run)
+    agents, values = snap.view_masks
+    n_vertices = len(snap.model.complex.vertices)
+    assert len(agents) == len(values) == n_vertices
+    for v in range(n_vertices):
+        view = snap.vertex_info(v)[2]
+        assert {p for p in range(snap.workspace.n_agents) if agents[v] >> p & 1} \
+            == view_agents(view)
+        assert {x for i, x in enumerate(snap.workspace.values) if values[v] >> i & 1} \
+            == view_values(view)

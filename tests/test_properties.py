@@ -306,3 +306,26 @@ def test_model_json_round_trip(model):
     assert back.complex.vertices == model.complex.vertices
     assert [f.vertices for f in back.facets] == [f.vertices for f in model.facets]
     assert serialize.dumps(serialize.model_to_json(back)) == text
+
+
+# payloads for the JSON writer: the shapes it writes fast (int lists, ragged
+# lists of int lists) next to the ones it hands to the standard library
+JSON_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aé€ 😀') | st.characters())
+JSON_INTS = st.integers() | st.integers(min_value=2**63, max_value=2**80) \
+    | st.integers(max_value=-1)
+JSON_LEAVES = JSON_INTS | JSON_TEXT | st.booleans() | st.none()
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=5)
+                   | st.lists(JSON_INTS, max_size=5)
+                   | st.lists(st.lists(JSON_INTS, max_size=4), max_size=5)
+                   | st.lists(JSON_INTS | st.lists(JSON_INTS, max_size=3), max_size=5)
+                   | st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(JSON_TEXT, JSON_PAYLOADS, max_size=4) | JSON_PAYLOADS)
+def test_dumps_matches_json_dumps(payload):
+    assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
