@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import UsageError
+import numpy as np
 
-# An atomic proposition "agent a was dealt value v" as a plain (a, v) pair.
-AtomPair = tuple
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -41,13 +40,12 @@ class Facet:
     vertices: tuple[int, ...]
     colors: tuple[int, ...]
 
-    def vertex_of_color(self, color: int) -> int:
-        if len(self.colors) > color and self.colors[color] == color:
-            return self.vertices[color]
-        for v, c in zip(self.vertices, self.colors):
-            if c == color:
-                return v
-        raise UsageError(f"facet {self.index} has no vertex of color {color}")
+
+def intern_ids(keys: Iterable, ids: dict) -> list[int]:
+    """Dense ids for ``keys``: a key already in ``ids`` keeps its id and a
+    new one takes the next, so ``list(ids)`` stays the distinct keys in
+    order of first appearance, which is id order."""
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
 
 class ChromaticComplex:
@@ -56,6 +54,9 @@ class ChromaticComplex:
     Construction only checks what is needed to store the data (dense vertex
     ids, facet members exist); semantic invariants are reported by
     :func:`validate_complex` so malformed complexes stay representable.
+    Facets of one width over agent-colored vertices are sorted and checked as
+    one int array, ``facet_table``, with :class:`Facet` records made on first
+    read; other input goes facet by facet (a table only if widths agree).
     """
 
     def __init__(self, n_agents: int, vertices: Sequence[Vertex],
@@ -65,21 +66,45 @@ class ChromaticComplex:
         for pos, v in enumerate(self.vertices):
             if v.id != pos:
                 raise UsageError(f"vertex ids must be dense: position {pos} holds id {v.id}")
-        self.facets: list[Facet] = []
-        for i, members in enumerate(facets):
-            for v in members:
-                if not 0 <= v < len(self.vertices):
-                    raise UsageError(f"facet {i} references unknown vertex {v}")
-            ordered = sorted(members, key=lambda v: (self.vertices[v].color, v))
-            self.facets.append(Facet(
-                index=i,
-                vertices=tuple(ordered),
-                colors=tuple(self.vertices[v].color for v in ordered),
-            ))
+        facets = facets if isinstance(facets, np.ndarray) else list(facets)
+        self.facet_table = self._sorted_table(facets)
+        if self.facet_table is None:
+            self.facets = []
+            for i, members in enumerate(facets):
+                for v in members:
+                    if not 0 <= v < len(self.vertices):
+                        raise UsageError(f"facet {i} references unknown vertex {v}")
+                ordered = sorted(members, key=lambda v: (self.vertices[v].color, v))
+                self.facets.append(Facet(i, tuple(ordered),
+                                         tuple(self.vertices[v].color for v in ordered)))
+            if len({len(f.vertices) for f in self.facets}) == 1:  # e.g. bool members
+                self.facet_table = np.array([f.vertices for f in self.facets], dtype=np.intp)
+                self.facet_table.setflags(write=False)
+        self.n_facets = len(self.facets if self.facet_table is None else self.facet_table)
 
-    @property
-    def n_facets(self) -> int:
-        return len(self.facets)
+    def _sorted_table(self, facets) -> np.ndarray | None:
+        """``facets`` as a read-only int array, rows sorted by (color, id), if
+        they are one width of known vertex ids and every color is an agent."""
+        try:
+            table = np.asarray(facets)
+        except ValueError:  # ragged
+            return None
+        nv = len(self.vertices)
+        colors = [v.color for v in self.vertices]
+        if (table.ndim != 2 or table.dtype.kind not in "iu" or not table.size
+                or table.min() < 0 or table.max() >= nv or set(map(type, colors)) != {int}
+                or min(colors) < 0 or max(colors) >= self.n_agents):
+            return None
+        table = np.sort(np.array(colors, dtype=np.intp)[table] * nv + table.astype(np.intp),
+                        axis=1) % nv
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def facets(self) -> list[Facet]:
+        colors = [v.color for v in self.vertices]
+        return [Facet(i, tuple(row), tuple(map(colors.__getitem__, row)))
+                for i, row in enumerate(self.facet_table.tolist())]
 
     @cached_property
     def vertex_facets(self) -> list[list[int]]:
@@ -110,7 +135,8 @@ def validate_complex(c: ChromaticComplex) -> list[str]:
     """All invariant violations, as human-readable strings (empty = valid).
 
     Checked: colors in range, facet purity (|Pi| vertices), color injectivity
-    per facet, and that every vertex lies in some facet.
+    per facet, and that every vertex lies in some facet. Of a |Pi|-column
+    ``facet_table``, only the rows with a repeated color are walked.
     """
     problems = []
     for v in c.vertices:
@@ -122,7 +148,13 @@ def validate_complex(c: ChromaticComplex) -> list[str]:
             elif pair[0] != v.color:
                 problems.append(
                     f"vertex {v.id}: atom for agent {pair[0]} on a color-{v.color} vertex")
-    for f in c.facets:
+    table = c.facet_table
+    suspects: Iterable[int] = range(c.n_facets)
+    if table is not None and table.shape[1] == c.n_agents:
+        colors = np.array([v.color for v in c.vertices])[table]
+        suspects = np.flatnonzero((colors[:, 1:] == colors[:, :-1]).any(axis=1)).tolist()
+    for i in suspects:
+        f = c.facets[i]
         if len(f.vertices) != c.n_agents:
             problems.append(
                 f"facet {f.index}: {len(f.vertices)} vertices, expected {c.n_agents}")
@@ -134,10 +166,7 @@ def validate_complex(c: ChromaticComplex) -> list[str]:
             seen[col] = v
         if len(set(f.vertices)) != len(f.vertices):
             problems.append(f"facet {f.index}: repeated vertex")
-    covered = set()
-    for f in c.facets:
-        covered.update(f.vertices)
-    for v in c.vertices:
-        if v.id not in covered:
-            problems.append(f"vertex {v.id} lies in no facet")
-    return problems
+    covered = np.zeros(len(c.vertices), dtype=bool)
+    covered[table.ravel() if table is not None else
+            np.array([v for f in c.facets for v in f.vertices], dtype=np.intp)] = True
+    return problems + [f"vertex {v} lies in no facet" for v in np.flatnonzero(~covered).tolist()]

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import ChromaticComplex, Vertex
+from .complexes import ChromaticComplex, Vertex, intern_ids
 from .errors import InternalConsistencyError, UsageError
 from .logic import Formula, atom, conj, disj, neg
 from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
@@ -139,7 +139,14 @@ class SnapshotProtocol:
 def snapshot_action(workspace: Workspace, rounds: int,
                     inputs: Sequence[Value] | None = None) -> SnapshotProtocol:
     """Build the r-round snapshot action. ``inputs`` restricts generation to a
-    single input assignment (for figure-scale runs); default is all of them."""
+    single input assignment (for figure-scale runs); default is all of them.
+
+    Built round by round, as the iterated chromatic subdivision: a round-r
+    vertex is interned as its agent and its stage's round-(r-1) vertex ids,
+    walking the schedule product prefix by prefix. Each vertex's nested view
+    (:func:`compute_view`'s) is built once; vertex and facet ids follow first
+    appearance in (inputs, schedules, agent) order.
+    """
     if rounds < 1:
         raise UsageError("need at least one round")
     n = workspace.n_agents
@@ -151,39 +158,55 @@ def snapshot_action(workspace: Workspace, rounds: int,
     else:
         assignments = itertools.product(workspace.values, repeat=n)
     parts = ordered_partitions(n)
+    stages = [[tuple(sorted(g.stage_of(a))) for a in range(n)] for g in parts]
 
-    vert_ids: dict[tuple, int] = {}
+    # per round r: vertex key -> id, and each id's (agent, nested view); a
+    # round-0 key is (agent, input), a round-r key (agent, stage's r-1 ids)
+    ids: list[dict] = [{} for _ in range(rounds + 1)]
+    seen: list[list[tuple[int, View]]] = [[] for _ in range(rounds + 1)]
     vertex_data: list[tuple[int, Value, View]] = []
     facet_ids: dict[tuple[int, ...], int] = {}
     facets: list[list[int]] = []
     pre: list[Formula] = []
     schedules: list[list] = []
-    for inp in assignments:
-        for gammas in itertools.product(parts, repeat=rounds):
-            members = []
-            for a in range(n):
-                key = (a, inp[a], compute_view(inp, gammas, a))
-                vid = vert_ids.get(key)
-                if vid is None:
-                    vid = len(vertex_data)
-                    vert_ids[key] = vid
-                    vertex_data.append(key)
-                members.append(vid)
-            fkey = tuple(members)
-            fid = facet_ids.get(fkey)
-            if fid is None:
-                fid = len(facets)
-                facet_ids[fkey] = fid
-                facets.append(members)
-                pre.append(conj([atom(a, inp[a]) for a in range(n)]))
-                schedules.append([])
-            schedules[fid].append((inp, gammas))
 
-    vertices = [Vertex(id=i, color=a, atoms=frozenset())
-                for i, (a, _, _) in enumerate(vertex_data)]
-    action = ActionModel(workspace, ChromaticComplex(n, vertices, facets), pre)
+    def step(r: int, new_keys: list[tuple]) -> list[int]:
+        cur = intern_ids(new_keys, ids[r])
+        for (a, below), i in zip(new_keys, cur):
+            if i == len(seen[r]):
+                seen[r].append((a, frozenset(map(seen[r - 1].__getitem__, below))
+                                if r else below))
+        return cur
+
+    def walk(r: int, below: list[int], gammas: tuple, inp: tuple, phi: Formula):
+        for part, stage in zip(parts, stages):
+            cur = step(r, [(a, tuple([below[p] for p in members]))
+                           for a, members in enumerate(stage)])
+            if r < rounds:
+                walk(r + 1, cur, gammas + (part,), inp, phi)
+                continue
+            vertex_data.extend((a, inp[a], view) for a, view in seen[r][len(vertex_data):])
+            fid = facet_ids.setdefault(tuple(cur), len(facets))
+            if fid == len(facets):
+                facets.append(cur)
+                pre.append(phi)
+                schedules.append([])
+            schedules[fid].append((inp, gammas + (part,)))
+
+    for inp in assignments:
+        walk(1, step(0, list(enumerate(inp))), (), inp,
+             conj([atom(a, inp[a]) for a in range(n)]))
+
+    action = ActionModel(workspace, _action_complex(n, vertex_data, facets), pre)
     return SnapshotProtocol(rounds, action, tuple(vertex_data),
                             tuple(tuple(s) for s in schedules))
+
+
+def _action_complex(n: int, vertex_keys: Iterable[tuple], facets) -> ChromaticComplex:
+    """An action complex: vertex i has color ``vertex_keys[i][0]``, no atoms."""
+    vertices = [Vertex(id=i, color=key[0], atoms=frozenset())
+                for i, key in enumerate(vertex_keys)]
+    return ChromaticComplex(n, vertices, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -204,31 +227,19 @@ def agreement_action(workspace: Workspace, k: int) -> AgreementTask:
     n = workspace.n_agents
     if not 1 <= k <= n:
         raise UsageError(f"k must be within 1..{n}, got {k}")
-    vert_ids: dict[tuple, int] = {}
-    vertex_data: list[tuple[int, Value]] = []
+    vertex_ids: dict[tuple[int, Value], int] = {}
     facets: list[list[int]] = []
     pre: list[Formula] = []
     decisions: list[tuple[Value, ...]] = []
+    someone_has = {v: disj([atom(b, v) for b in range(n)]) for v in workspace.values}
     for decide in itertools.product(workspace.values, repeat=n):
         if len(set(decide)) > k:
             continue
-        members = []
-        for a in range(n):
-            key = (a, decide[a])
-            vid = vert_ids.get(key)
-            if vid is None:
-                vid = len(vertex_data)
-                vert_ids[key] = vid
-                vertex_data.append(key)
-            members.append(vid)
-        facets.append(members)
+        facets.append(intern_ids(enumerate(decide), vertex_ids))
         decisions.append(decide)
-        pre.append(conj([disj([atom(b, decide[a]) for b in range(n)])
-                         for a in range(n)]))
-    vertices = [Vertex(id=i, color=a, atoms=frozenset())
-                for i, (a, _) in enumerate(vertex_data)]
-    action = ActionModel(workspace, ChromaticComplex(n, vertices, facets), pre)
-    return AgreementTask(k, action, tuple(vertex_data), tuple(decisions))
+        pre.append(conj([someone_has[d] for d in decide]))
+    action = ActionModel(workspace, _action_complex(n, vertex_ids, facets), pre)
+    return AgreementTask(k, action, tuple(vertex_ids), tuple(decisions))
 
 
 # ---------------------------------------------------------------------------
@@ -318,28 +329,15 @@ def knowall_action(workspace: Workspace, graphs: Sequence[DiGraph],
     eff = compose_rounds(graphs, rounds)
     hears = [in_neighbors(eff, a) for a in range(n)]
 
-    vert_ids: dict[tuple, int] = {}
-    vertex_data: list[tuple[int, Value, View]] = []
+    vertex_ids: dict[tuple[int, Value, View], int] = {}
     facets: list[list[int]] = []
     pre: list[Formula] = []
     for inp in itertools.product(workspace.values, repeat=n):
-        members = []
-        for a in range(n):
-            view = frozenset((p, inp[p]) for p in hears[a])
-            key = (a, inp[a], view)
-            vid = vert_ids.get(key)
-            if vid is None:
-                vid = len(vertex_data)
-                vert_ids[key] = vid
-                vertex_data.append(key)
-            members.append(vid)
-        facets.append(members)
+        facets.append(intern_ids([(a, inp[a], frozenset((p, inp[p]) for p in hears[a]))
+                                  for a in range(n)], vertex_ids))
         pre.append(conj([atom(a, inp[a]) for a in range(n)]))
-    vertices = [Vertex(id=i, color=a, atoms=frozenset())
-                for i, (a, _, _) in enumerate(vertex_data)]
-    action = ActionModel(workspace, ChromaticComplex(n, vertices, facets), pre)
-    return KnowAllProtocol(tuple(graphs[:rounds]), rounds, eff, action,
-                           tuple(vertex_data))
+    action = ActionModel(workspace, _action_complex(n, vertex_ids, facets), pre)
+    return KnowAllProtocol(tuple(graphs[:rounds]), rounds, eff, action, tuple(vertex_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +367,10 @@ def staircase_task(max_decision: int,
                 pairs.append((d0, d1))
     pairs.sort(key=lambda p: (p[0] + p[1], p[0]))
 
-    vert_ids: dict[tuple, int] = {}
-    data: list[tuple[int, int]] = []
-    facets: list[list[int]] = []
-    pre: list[Formula] = []
-    for d0, d1 in pairs:
-        members = []
-        for a, d in ((0, d0), (1, d1)):
-            key = (a, d)
-            vid = vert_ids.get(key)
-            if vid is None:
-                vid = len(data)
-                vert_ids[key] = vid
-                data.append(key)
-            members.append(vid)
-        facets.append(members)
-        pre.append(conj([atom(0, d0 % 2), atom(1, d1 % 2)]))
-    vertices = [Vertex(id=i, color=a, atoms=frozenset()) for i, (a, _) in enumerate(data)]
-    action = ActionModel(ws, ChromaticComplex(2, vertices, facets), pre)
+    vertex_ids: dict[tuple[int, int], int] = {}
+    facets = [intern_ids(((0, d0), (1, d1)), vertex_ids) for d0, d1 in pairs]
+    pre = [conj([atom(0, d0 % 2), atom(1, d1 % 2)]) for d0, d1 in pairs]
+    action = ActionModel(ws, _action_complex(2, vertex_ids, facets), pre)
     return StaircaseTask(max_decision, action, tuple(pairs))
 
 

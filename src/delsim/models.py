@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import ChromaticComplex, Facet, Vertex, validate_complex
+from .complexes import ChromaticComplex, Facet, Vertex, intern_ids, validate_complex
 from .errors import UsageError
 from .logic import Formula, ModelTable
 from .simulation import Relation, SimulationEngine
@@ -52,12 +52,6 @@ class Workspace:
     @cached_property
     def value_set(self) -> frozenset:
         return frozenset(self.values)
-
-    def value_index(self, v: Value) -> int:
-        try:
-            return self.values.index(v)
-        except ValueError:
-            raise UsageError(f"value {v!r} not in workspace") from None
 
     def atom_universe(self) -> list[tuple[int, Value]]:
         """All atoms, ordered by (agent, value position)."""
@@ -101,6 +95,12 @@ class _ComplexCarrier:
     def facets(self) -> list[Facet]:
         return self.complex.facets
 
+    @property
+    def vertex_table(self) -> np.ndarray:
+        """``[n_facets, n_agents]`` ints: entry ``[x, a]`` is facet x's
+        color-a vertex."""
+        return self.complex.facet_table
+
 
 class SimplicialModel(_ComplexCarrier):
     def __init__(self, workspace: Workspace, complex_: ChromaticComplex):
@@ -109,20 +109,12 @@ class SimplicialModel(_ComplexCarrier):
 
     @cached_property
     def facet_labels(self) -> list[frozenset]:
-        cx = self.complex
-        return [frozenset().union(*(cx.vertices[v].atoms for v in f.vertices))
-                for f in cx.facets]
+        atoms = [v.atoms for v in self.complex.vertices]
+        return [frozenset().union(*map(atoms.__getitem__, row))
+                for row in self.vertex_table.tolist()]
 
     def label(self, facet: int) -> frozenset:
         return self.facet_labels[facet]
-
-    @cached_property
-    def vertex_table(self) -> np.ndarray:
-        """``[n_facets, n_agents]`` ints: entry ``[x, a]`` is facet x's
-        color-a vertex."""
-        table = np.array([f.vertices for f in self.facets], dtype=np.intp)
-        table.setflags(write=False)
-        return table
 
     def face_classes(self, colors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Group the facets by their face of color set S = ``colors``.
@@ -204,34 +196,23 @@ def product_update(model: SimplicialModel, action: ActionModel) -> ProductResult
     if model.workspace != action.workspace:
         raise UsageError("model and action use different workspaces")
     table = ModelTable(model)
-    holds = np.stack([table.satisfies(p) for p in action.pre])  # [actions, facets]
-
-    n = model.workspace.n_agents
-    vert_ids: dict[tuple[int, int], int] = {}
-    vertex_sources: list[tuple[int, int]] = []
-    vertices: list[Vertex] = []
-    facets: list[list[int]] = []
-    facet_sources: list[tuple[int, int]] = []
-    for x, xf in enumerate(model.facets):
-        for t in np.flatnonzero(holds[:, x]):
-            tf = action.facets[t]
-            members = []
-            for a in range(n):
-                pair = (xf.vertices[a], tf.vertices[a])
-                vid = vert_ids.get(pair)
-                if vid is None:
-                    vid = len(vertices)
-                    vert_ids[pair] = vid
-                    src = model.complex.vertices[pair[0]]
-                    vertices.append(Vertex(id=vid, color=a, atoms=src.atoms))
-                    vertex_sources.append(pair)
-                members.append(vid)
-            facets.append(members)
-            facet_sources.append((x, int(t)))
-    if not facets:
+    distinct: dict[Formula, int] = {}  # formulas are interned: equal is identical
+    which = intern_ids(action.pre, distinct)
+    holds = np.stack([table.satisfies(p) for p in distinct])[which]  # [actions, facets]
+    xs, ts = np.nonzero(holds.T)  # model facet by model facet
+    if not len(xs):
         raise UsageError("product update is empty: no precondition holds anywhere")
-    cx = ChromaticComplex(n, vertices, facets)
-    return ProductResult(SimplicialModel(model.workspace, cx), facet_sources, vertex_sources)
+    n_act = len(action.complex.vertices)
+    keys = model.vertex_table[xs] * n_act + action.vertex_table[ts]
+    ids: dict[int, int] = {}
+    facets = np.array(intern_ids(keys.ravel().tolist(), ids)).reshape(keys.shape)
+    vertex_sources = [divmod(key, n_act) for key in ids]
+    src = model.complex.vertices
+    vertices = [Vertex(id=i, color=src[m].color, atoms=src[m].atoms)
+                for i, (m, _) in enumerate(vertex_sources)]
+    cx = ChromaticComplex(model.workspace.n_agents, vertices, facets)
+    return ProductResult(SimplicialModel(model.workspace, cx),
+                         list(zip(xs.tolist(), ts.tolist())), vertex_sources)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +223,6 @@ class Morphism:
     """A vertex map; valid when it preserves colors, labels, and facets."""
 
     vmap: tuple[int, ...]
-
-    def apply(self, vertex: int) -> int:
-        return self.vmap[vertex]
 
     def validate(self, source: SimplicialModel, target: SimplicialModel) -> list[str]:
         problems = []
@@ -261,15 +239,16 @@ class Morphism:
                 problems.append(f"vertex {v}: color {sv.color} -> {tv[w].color}")
             if tv[w].atoms != sv.atoms:
                 problems.append(f"vertex {v}: labels not preserved")
-        if problems:
-            return problems
-        target_facets = {f.vertices: f.index for f in target.facets}
-        for f in source.facets:
-            image = tuple(sorted({self.vmap[v] for v in f.vertices},
-                                 key=lambda w: (tv[w].color, w)))
-            if image not in target_facets:
-                problems.append(f"facet {f.index}: image is not a facet")
-        return problems
+        return problems or [f"facet {i}: image is not a facet"
+                            for i, j in enumerate(self.facet_images(source, target)) if j is None]
+
+    def facet_images(self, source: SimplicialModel, target: SimplicialModel) -> list[int | None]:
+        """Per source facet, the target facet that is its image, or None."""
+        tv = target.complex.vertices
+        index = {f.vertices: f.index for f in target.facets}
+        return [index.get(tuple(sorted({self.vmap[v] for v in f.vertices},
+                                       key=lambda w: (tv[w].color, w))))
+                for f in source.facets]
 
 
 def graph_of_morphism(f: Morphism, source: SimplicialModel,
@@ -278,14 +257,8 @@ def graph_of_morphism(f: Morphism, source: SimplicialModel,
     problems = f.validate(source, target)
     if problems:
         raise UsageError("not a morphism:\n  " + "\n  ".join(problems))
-    tv = target.complex.vertices
-    target_facets = {fa.vertices: fa.index for fa in target.facets}
-    pairs = []
-    for fa in source.facets:
-        image = tuple(sorted({f.vmap[v] for v in fa.vertices},
-                             key=lambda w: (tv[w].color, w)))
-        pairs.append((fa.index, target_facets[image]))
-    return Relation.from_pairs((source.n_facets, target.n_facets), pairs)
+    return Relation.from_pairs((source.n_facets, target.n_facets),
+                               list(enumerate(f.facet_images(source, target))))
 
 
 def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism | None:

@@ -32,9 +32,10 @@ def dumps(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, written
     without the standard library's pure-Python indenting encoder.
 
-    Lists of ints and lists of int lists (facets, relation pairs, atoms) are
-    written by one join or one ``%`` format each; any other scalar or shape
-    that :func:`_write` does not handle goes to ``json.dumps`` itself.
+    Lists of ints and lists of int lists (facets, atoms) are written by one
+    join or one ``%`` format each, and so is a 2-D int array (relation
+    pairs), as its list of rows; any other scalar or shape that
+    :func:`_write` does not handle goes to ``json.dumps`` itself.
     """
     out: list[str] = []
     _write(payload, "\n", out)
@@ -66,6 +67,8 @@ def _write(o, nl: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(nl + "]")
+    elif type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind in "iu":
+        out.append(_rows(o.ravel().tolist(), [o.shape[1]] * len(o), nl) if len(o) else "[]")
     elif type(o) is dict and o and set(map(type, o)) == {str}:
         inner = nl + " "
         sep = "{" + inner
@@ -85,12 +88,17 @@ def _int_lists(items, nl: str) -> str | None:
     if set(map(type, items)) == {int}:
         return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + nl + "]"
     flat = _flat_ints(items, row_types=_SEQUENCES)
-    if flat is None:
-        return None
+    return None if flat is None else _rows(flat, list(map(len, items)), nl)
+
+
+def _rows(flat: list[int], lengths: list[int], nl: str) -> str:
+    """The int rows of the given lengths, read in order from ``flat``, as
+    one indented JSON list."""
+    inner = nl + " "
     deeper = inner + " "
     rows = {n: "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" if n else "[]"
-            for n in set(map(len, items))}
-    return ("[" + inner + ("," + inner).join(map(rows.__getitem__, map(len, items)))
+            for n in set(lengths)}
+    return ("[" + inner + ("," + inner).join(map(rows.__getitem__, lengths))
             + nl + "]") % tuple(flat)
 
 
@@ -122,7 +130,7 @@ def model_to_json(m: SimplicialModel) -> dict:
              "atoms": sorted([[a, val] for (a, val) in v.atoms])}
             for v in m.complex.vertices
         ],
-        "facets": [list(f.vertices) for f in m.complex.facets],
+        "facets": m.vertex_table.tolist(),
     }
 
 
@@ -245,7 +253,7 @@ def action_to_json(a: ActionModel) -> dict:
         "values": list(a.workspace.values),
         "vertices": [{"id": v.id, "color": v.color, "atoms": []}
                      for v in a.complex.vertices],
-        "facets": [list(f.vertices) for f in a.complex.facets],
+        "facets": a.vertex_table.tolist(),
         "pre": {str(i): to_sexp(p) for i, p in enumerate(a.pre)},
     }
     return d
@@ -276,9 +284,11 @@ def action_from_json(d: dict, where: str = "") -> ActionModel:
 # -- relations, morphisms, provenance ---------------------------------------
 
 def relation_to_json(r: Relation, **extra: Any) -> dict:
+    """The relation document; its ``pairs`` is the ``[count, 2]`` int array
+    of (left, right) rows, which :func:`dumps` writes without a list per row."""
     d = {"format": RELATION_FORMAT,
          "dims": list(r.dims),
-         "pairs": np.stack([r.xs, r.js], axis=1).tolist()}
+         "pairs": np.stack([r.xs, r.js], axis=1)}
     d.update(extra)
     return d
 
@@ -295,6 +305,8 @@ def relation_from_json(d: dict, where: str = "") -> Relation:
     if not (isinstance(dims, list) and len(dims) == 2
             and all(_is_index(x) and x >= 0 for x in dims)):
         raise SchemaError(_ctx(where, "dims: expected [rows, cols]"))
+    if isinstance(pairs, np.ndarray):  # a document from relation_to_json
+        pairs = pairs.tolist()
     if not isinstance(pairs, list):
         raise SchemaError(_ctx(where, "pairs: expected a list"))
     flat = _flat_ints(pairs, 2, _SEQUENCES)

@@ -2,15 +2,21 @@
 
 Everything here chases definitions directly over the raw complex data
 (vertex ids, colors, per-vertex atoms) with plain sets and dicts. Nothing
-imports the library's face-class index, the vectorized model table, or the
-simulation engine, so agreement between these oracles and the fast
-paths is meaningful evidence rather than a tautology.
+here calls the library's face-class index, the vectorized model table, or
+the simulation engine, so agreement between these oracles and the fast
+paths is meaningful evidence rather than a tautology. From the library the
+snapshot oracle takes only the definitions ``compute_view`` and
+``ordered_partitions``, and the formula factories, which intern.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+
+from delsim.errors import UsageError
+from delsim.generators import compute_view, ordered_partitions
+from delsim.logic import atom, conj
 
 
 # -- raw structure ----------------------------------------------------------
@@ -29,6 +35,128 @@ def shared_colors(model, i: int, j: int) -> frozenset:
         return frozenset(cx.vertices[v].color for v in cx.facets[i].vertices)
     common = set(cx.facets[i].vertices) & set(cx.facets[j].vertices)
     return frozenset(cx.vertices[v].color for v in common)
+
+
+# -- complexes and product update -------------------------------------------
+
+class ChromaticComplexNaive:
+    """The complex constructor's checks and facet order, one facet at a
+    time: the reference for ``ChromaticComplex``'s array path. ``facets``
+    holds ``(index, vertices, colors)`` triples."""
+
+    def __init__(self, n_agents, vertices, facets):
+        self.n_agents = n_agents
+        self.vertices = list(vertices)
+        for pos, v in enumerate(self.vertices):
+            if v.id != pos:
+                raise UsageError(f"vertex ids must be dense: position {pos} holds id {v.id}")
+        self.facets = []
+        for i, members in enumerate(facets):
+            for v in members:
+                if not 0 <= v < len(self.vertices):
+                    raise UsageError(f"facet {i} references unknown vertex {v}")
+            ordered = sorted(members, key=lambda v: (self.vertices[v].color, v))
+            self.facets.append((i, tuple(ordered),
+                                tuple(self.vertices[v].color for v in ordered)))
+
+
+def validate_complex_naive(c: ChromaticComplexNaive) -> list[str]:
+    """Every invariant violation of ``c``, walking every vertex and facet."""
+    problems = []
+    for v in c.vertices:
+        if not 0 <= v.color < c.n_agents:
+            problems.append(f"vertex {v.id}: color {v.color} out of range")
+        for pair in v.atoms:
+            if not (isinstance(pair, tuple) and len(pair) == 2):
+                problems.append(f"vertex {v.id}: malformed atom {pair!r}")
+            elif pair[0] != v.color:
+                problems.append(
+                    f"vertex {v.id}: atom for agent {pair[0]} on a color-{v.color} vertex")
+    for index, vertices, colors in c.facets:
+        if len(vertices) != c.n_agents:
+            problems.append(
+                f"facet {index}: {len(vertices)} vertices, expected {c.n_agents}")
+        seen = {}
+        for v, col in zip(vertices, colors):
+            if col in seen:
+                problems.append(
+                    f"facet {index}: color {col} repeated (vertices {seen[col]}, {v})")
+            seen[col] = v
+        if len(set(vertices)) != len(vertices):
+            problems.append(f"facet {index}: repeated vertex")
+    covered = set()
+    for _, vertices, _ in c.facets:
+        covered.update(vertices)
+    for v in c.vertices:
+        if v.id not in covered:
+            problems.append(f"vertex {v.id} lies in no facet")
+    return problems
+
+
+def product_update_naive(model, action) -> dict:
+    """The product update by its definition: model facet x (in order) meets
+    action facet t (in order) where ``pre[t]`` holds at x (by
+    :func:`eval_naive`); the pair's color-a vertex is (x's color-a vertex,
+    t's color-a vertex), numbered by first appearance. Returns
+    ``facet_sources``, ``vertex_sources``, ``vertices`` as (color, atoms)
+    and ``facets`` as vertex lists in color order."""
+    mcx, acx = model.complex, action.complex
+
+    def by_color(cx, i):
+        return {cx.vertices[v].color: v for v in cx.facets[i].vertices}
+
+    ids, vertices, facets, facet_sources = {}, [], [], []
+    for x in range(model.n_facets):
+        mine = by_color(mcx, x)
+        for t in range(action.n_facets):
+            if not eval_naive(model, x, action.pre[t]):
+                continue
+            theirs = by_color(acx, t)
+            members = []
+            for a in range(model.workspace.n_agents):
+                pair = (mine[a], theirs[a])
+                if pair not in ids:
+                    ids[pair] = len(ids)
+                    vertices.append((a, mcx.vertices[mine[a]].atoms))
+                members.append(ids[pair])
+            facets.append(members)
+            facet_sources.append((x, t))
+    return {"facet_sources": facet_sources, "vertex_sources": list(ids),
+            "vertices": vertices, "facets": facets}
+
+
+# -- snapshot protocol ------------------------------------------------------
+
+def snapshot_action_naive(workspace, rounds: int, inputs=None) -> dict:
+    """The r-round snapshot action by :func:`compute_view` over every
+    (inputs, schedules) pair in order: a vertex per distinct (agent, input,
+    view) and a facet per distinct vertex list, numbered by first
+    appearance. Returns ``vertex_data``, ``facets``, ``pre`` and
+    ``schedules`` as ``snapshot_action`` does."""
+    n = workspace.n_agents
+    assignments = ([tuple(inputs)] if inputs is not None
+                   else itertools.product(workspace.values, repeat=n))
+    parts = ordered_partitions(n)
+    vert_ids, vertex_data = {}, []
+    facet_ids, facets, pre, schedules = {}, [], [], []
+    for inp in assignments:
+        for gammas in itertools.product(parts, repeat=rounds):
+            members = []
+            for a in range(n):
+                key = (a, inp[a], compute_view(inp, gammas, a))
+                if key not in vert_ids:
+                    vert_ids[key] = len(vertex_data)
+                    vertex_data.append(key)
+                members.append(vert_ids[key])
+            fkey = tuple(members)
+            if fkey not in facet_ids:
+                facet_ids[fkey] = len(facets)
+                facets.append(members)
+                pre.append(conj([atom(a, inp[a]) for a in range(n)]))
+                schedules.append([])
+            schedules[facet_ids[fkey]].append((inp, gammas))
+    return {"vertex_data": tuple(vertex_data), "facets": facets, "pre": tuple(pre),
+            "schedules": tuple(tuple(s) for s in schedules)}
 
 
 # -- formula evaluation -----------------------------------------------------

@@ -1,6 +1,9 @@
-"""Chromatic complex construction, validation and the adjacency index."""
+"""Chromatic complex construction, validation and the adjacency index;
+the array construction path against a per-facet reference."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from delsim.complexes import ChromaticComplex, Vertex, validate_complex
@@ -100,3 +103,106 @@ def test_vertex_facets_covers_every_facet():
     cx = make_triangle_pair()
     assert set(cx.vertex_facets[0]) == {0, 1}
     assert set(cx.vertex_facets[2]) == {0}
+
+
+# -- the array path against the per-facet reference ---------------------------
+
+def _build(cls, n_agents, vertices, facets):
+    try:
+        return cls(n_agents, vertices, facets), None
+    except UsageError as e:
+        return None, str(e)
+
+
+def assert_matches_reference(n_agents, vertices, facets):
+    """Same facets and problems as ``oracles.ChromaticComplexNaive`` and
+    ``oracles.validate_complex_naive``, or the same ``UsageError`` text."""
+    got, got_error = _build(ChromaticComplex, n_agents, vertices, facets)
+    want, want_error = _build(oracles.ChromaticComplexNaive, n_agents, vertices, facets)
+    assert got_error == want_error
+    if want is not None:
+        assert got.n_facets == len(want.facets)
+        assert [(f.index, f.vertices, f.colors) for f in got.facets] == want.facets
+        assert validate_complex(got) == oracles.validate_complex_naive(want)
+
+
+def _vertices(colors, atoms=None):
+    return [Vertex(i, c, frozenset() if atoms is None else atoms[i])
+            for i, c in enumerate(colors)]
+
+
+@pytest.mark.parametrize("n_agents,vertices,facets", [
+    # valid, facets in scrambled member order, as lists, tuples and an array
+    (3, _vertices([2, 0, 1, 0]), [[0, 1, 2], (2, 3, 0)]),
+    (3, _vertices([2, 0, 1, 0]), np.array([[0, 1, 2], [2, 3, 0]])),
+    # ids not dense
+    (2, [Vertex(0, 0, frozenset()), Vertex(2, 1, frozenset())], [[0, 1]]),
+    # unknown vertex: too large, negative, in a later facet
+    (2, _vertices([0, 1]), [[0, 5]]),
+    (2, _vertices([0, 1]), [[-1, 1]]),
+    (2, _vertices([0, 1, 1]), [[0, 1], [0, 3]]),
+    # ragged and impure facets
+    (2, _vertices([0, 1, 1]), [[0, 1], [0, 1, 2], [2]]),
+    (3, _vertices([0, 1, 1]), [[0, 1], [0, 2]]),
+    (1, _vertices([0, 0]), [[0, 1]]),
+    # repeated colours and a repeated vertex
+    (2, _vertices([0, 0, 1]), [[1, 0], [0, 2]]),
+    (3, _vertices([1, 1, 1, 0]), [[2, 1, 0], [3, 3, 0]]),
+    # colour out of range, malformed or foreign atoms, an uncovered vertex
+    (2, _vertices([0, 2, 1]), [[0, 2], [0, 1]]),
+    (2, _vertices([0, 1, 0], [frozenset({(1, 0)}), frozenset({(0,)}), frozenset()]),
+     [[0, 1]]),
+    # no facets, empty facets
+    (2, _vertices([0, 1]), []),
+    (2, _vertices([0, 1]), [[], []]),
+])
+def test_complex_matches_reference(n_agents, vertices, facets):
+    assert_matches_reference(n_agents, vertices, facets)
+
+
+@pytest.mark.parametrize("vertices,facets", [
+    (_vertices([0, 1]), [[False, True]]),
+    (_vertices([np.int64(1), np.int64(0)]), [[0, 1]]),
+])
+def test_valid_complex_of_other_int_types_has_a_table(vertices, facets):
+    """Members or colors that are not plain ints take the per-facet path;
+    a valid complex still gets the table that models read."""
+    assert_matches_reference(2, vertices, facets)
+    cx = ChromaticComplex(2, vertices, facets)
+    assert validate_complex(cx) == []
+    assert cx.facet_table.tolist() == [list(f.vertices) for f in cx.facets]
+
+
+@st.composite
+def raw_complexes(draw):
+    """Vertex colors, ids and facet members that are each in range or, when
+    the example asks for it, sometimes out of it; facets all of one width
+    or ragged, given as lists, tuples or one int array."""
+    n_agents = draw(st.integers(1, 3))
+    n_vertices = draw(st.integers(0, 6))
+    color = st.integers(-1, n_agents) if draw(st.booleans()) else st.integers(0, n_agents - 1)
+    colors = draw(st.lists(color, min_size=n_vertices, max_size=n_vertices))
+    atoms = [draw(st.sampled_from([frozenset(), frozenset({(c, 0)}),
+                                   frozenset({(c + 1, 0)})])) for c in colors]
+    vertices = _vertices(colors, atoms)
+    if vertices and draw(st.booleans()):
+        k = draw(st.integers(0, len(vertices) - 1))
+        vertices[k] = Vertex(k + 1, colors[k], atoms[k])
+    member = (st.integers(-1, n_vertices) if draw(st.booleans())
+              else st.integers(0, max(n_vertices - 1, 0)))
+    width = draw(st.integers(0, 4))
+    size = st.just(width) if draw(st.booleans()) else st.integers(0, 4)
+    facets = draw(st.lists(size.flatmap(lambda k: st.lists(member, min_size=k, max_size=k)),
+                           max_size=6))
+    shape = draw(st.sampled_from(["list", "tuple", "array"]))
+    if shape == "tuple":
+        facets = [tuple(f) for f in facets]
+    elif shape == "array" and facets and len(set(map(len, facets))) == 1:
+        facets = np.array(facets, dtype=np.int64).reshape(len(facets), -1)
+    return n_agents, vertices, facets
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_complexes())
+def test_complex_matches_reference_on_random_input(raw):
+    assert_matches_reference(*raw)

@@ -13,9 +13,10 @@ from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
                                domination_number, explicit_agreement_relation,
                                flatten_view, in_neighbors, knowall_run,
                                ordered_partitions, out_neighbors,
-                               round_prefix_morphism, snapshot_run,
-                               staircase_task, standard_two_bit_workspace,
-                               view_agents, view_values)
+                               round_prefix_morphism, snapshot_action,
+                               snapshot_run, staircase_task,
+                               standard_two_bit_workspace, view_agents,
+                               view_values)
 from delsim.models import graph_of_morphism, standard_workspace
 from delsim.simulation import SimulationEngine
 
@@ -161,6 +162,25 @@ def test_snapshot_input_validation(ws3):
         snapshot_run(ws3, 1, (0, 0))
     with pytest.raises(UsageError):
         snapshot_run(ws3, 1, (0, 0, 9))
+
+
+@pytest.mark.parametrize("n_agents,rounds",
+                         [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+@pytest.mark.parametrize("single_input", [False, True])
+def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
+    """The round-by-round builder against compute_view over every (inputs,
+    schedules) pair: same vertex and facet numbering, views, preconditions
+    and schedules, over all inputs and over one assignment (``inputs=``)."""
+    values = (0, "one", 2)[:max(n_agents, 2)]
+    ws = standard_workspace(n_agents, values)
+    inputs = tuple(values[a % len(values)] for a in range(n_agents)) if single_input else None
+    got = snapshot_action(ws, rounds, inputs)
+    want = oracles.snapshot_action_naive(ws, rounds, inputs)
+    assert got.vertex_data == want["vertex_data"]
+    assert [list(f.vertices) for f in got.action.facets] == want["facets"]
+    assert len(got.action.pre) == len(want["pre"])
+    assert all(p is q for p, q in zip(got.action.pre, want["pre"]))
+    assert got.schedules == want["schedules"]
 
 
 # -- agreement task ---------------------------------------------------------

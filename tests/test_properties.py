@@ -3,15 +3,18 @@ definition-chasing oracles: the face-class index, the simulation chain (also
 on models that repeat a facet), the Forth operator on arbitrary sub-relations
 of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
 counterexamples included), model checking of K and D formulas, and the
-duality between characteristic formulas and the chain, and morphism search
-against plain enumeration. Also the s-expression round trip over random
-formulas and the JSON round trips of models and relations."""
+duality between characteristic formulas and the chain, morphism search
+against plain enumeration, and the product update with random actions
+against its definition. Also the s-expression round trip over random
+formulas, the JSON round trips of models and relations, and the JSON
+writer against the standard library's."""
 
 import itertools
 import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -19,7 +22,9 @@ from delsim import serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
 from delsim.logic import (ModelTable, atom, conj, disj, dknow, from_sexp, know,
                           neg, to_sexp)
-from delsim.models import SimplicialModel, find_morphism, standard_workspace
+from delsim.errors import UsageError
+from delsim.models import (ActionModel, SimplicialModel, find_morphism,
+                           product_update, standard_workspace)
 from delsim.obstruction import characteristic_formula, characteristic_formulas
 from delsim.simulation import Relation, SimulationEngine
 
@@ -290,10 +295,26 @@ def test_relation_json_round_trip(rows, cols, data):
     r = Relation.from_pairs((rows, cols), pairs)
     assert r.pairs() == sorted(set(pairs))
     assert Relation(r.bits) == r
-    text = serialize.dumps(serialize.relation_to_json(r))
+    doc = serialize.relation_to_json(r)
+    text = serialize.dumps(doc)
+    assert text == json.dumps({**doc, "pairs": doc["pairs"].tolist()},
+                              sort_keys=True, indent=1) + "\n"
     back = serialize.relation_from_json(json.loads(text))
     assert back == r and hash(back) == hash(r)
+    assert serialize.relation_from_json(doc) == r
     assert serialize.dumps(serialize.relation_to_json(back)) == text
+
+
+@SETTINGS
+@given(st.integers(0, 4), st.integers(0, 3), st.sampled_from([np.int64, np.int32, np.uint8]),
+       st.data())
+def test_dumps_writes_int_arrays_as_rows(rows, width, dtype, data):
+    info = np.iinfo(dtype)
+    values = st.integers(max(int(info.min), -(2**31)), min(int(info.max), 2**31 - 1))
+    flat = data.draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+    arr = np.array(flat, dtype=dtype).reshape(rows, width)
+    assert serialize.dumps({"a": arr}) == json.dumps(
+        {"a": arr.tolist()}, sort_keys=True, indent=1) + "\n"
 
 
 @SETTINGS
@@ -306,6 +327,44 @@ def test_model_json_round_trip(model):
     assert back.complex.vertices == model.complex.vertices
     assert [f.vertices for f in back.facets] == [f.vertices for f in model.facets]
     assert serialize.dumps(serialize.model_to_json(back)) == text
+
+
+def actions(model: SimplicialModel):
+    """Actions over ``model``'s workspace and colors: a random atom-free
+    complex whose facets draw their preconditions from a pool of up to two
+    random D-free formulas, one that holds everywhere and one that holds
+    nowhere, so preconditions repeat and some facets never fire."""
+    n = model.workspace.n_agents
+    bare = {(a, k): frozenset() for a in range(n) for k in range(WIDTH)}
+    some = atom(0, VALUES[0])
+    fixed = [disj([some, neg(some)]), conj([some, neg(some)])]
+    pool = st.lists(formulas(n).filter(lambda f: not f.has_d), max_size=2)
+    return st.tuples(models(n, bare), pool).flatmap(lambda cp: st.lists(
+        st.sampled_from(cp[1] + fixed), min_size=cp[0].n_facets,
+        max_size=cp[0].n_facets).map(
+            lambda pre: ActionModel(model.workspace, cp[0].complex, pre)))
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(lambda n: models(n, repeats=True)).flatmap(
+    lambda m: st.tuples(st.just(m), actions(m))))
+def test_product_update_matches_oracle(pair):
+    model, action = pair
+    want = oracles.product_update_naive(model, action)
+    if not want["facets"]:
+        with pytest.raises(UsageError, match="product update is empty"):
+            product_update(model, action)
+        return
+    got = product_update(model, action)
+    assert got.facet_sources == want["facet_sources"]
+    assert got.vertex_sources == want["vertex_sources"]
+    ws = model.workspace
+    doc = {"format": serialize.MODEL_FORMAT, "agents": list(ws.agents),
+           "values": list(ws.values),
+           "vertices": [{"id": i, "color": color, "atoms": sorted(map(list, atoms))}
+                        for i, (color, atoms) in enumerate(want["vertices"])],
+           "facets": want["facets"]}
+    assert serialize.dumps(serialize.model_to_json(got.model)) == serialize.dumps(doc)
 
 
 # payloads for the JSON writer: the shapes it writes fast (int lists, ragged
