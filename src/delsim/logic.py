@@ -7,8 +7,8 @@ individual knowledge ``K a``, and distributed knowledge ``D A`` for an agent
 set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 
 `ModelTable` is the model checker: it evaluates every DAG node as a boolean
-vector over all facets of a model, which is both the memoization the DAG needs
-and the natural shape for obstruction verification.
+vector over all facets of a model (or of several side by side), which is both
+the memoization the DAG needs and the natural shape for obstruction checks.
 """
 
 from __future__ import annotations
@@ -38,29 +38,42 @@ class FormulaClass(enum.Enum):
     NON_POSITIVE = "none-positive"
 
 
+# Formula.flags bits; each holds at a node when it holds at a descendant.
+_NON_POSITIVE, _HAS_OR, _HAS_D, _HAS_WIDE_D = 1, 2, 4, 8
+
+
 class Formula:
     """One interned node. Do not instantiate directly; use the factories."""
 
-    __slots__ = ("kind", "payload", "children", "uid", "degree",
-                 "positive", "has_or", "has_d", "has_wide_d")
+    __slots__ = ("kind", "payload", "children", "uid", "degree", "flags")
 
     def __init__(self, kind, payload, children, uid):
         self.kind = kind
         self.payload = payload
         self.children = children
         self.uid = uid
-        child_deg = max((c.degree for c in children), default=0)
-        self.degree = child_deg + (1 if kind in (K, D) else 0)
-        if kind == ATOM:
-            self.positive = True
-        elif kind == NOT:
-            self.positive = children[0].kind == ATOM
+        if kind == OR:
+            flags = _HAS_OR
+        elif kind == D:
+            flags = _HAS_D if len(payload) == 1 else _HAS_D | _HAS_WIDE_D
+        elif kind == NOT and children[0].kind != ATOM:
+            flags = _NON_POSITIVE
         else:
-            self.positive = all(c.positive for c in children)
-        self.has_or = kind == OR or any(c.has_or for c in children)
-        self.has_d = kind == D or any(c.has_d for c in children)
-        self.has_wide_d = (kind == D and len(payload) != 1) or \
-            any(c.has_wide_d for c in children)
+            flags = 0
+        degree = 0
+        for c in children:
+            flags |= c.flags
+            if c.degree > degree:
+                degree = c.degree
+        self.flags = flags
+        self.degree = degree + 1 if kind == K or kind == D else degree
+
+    positive = property(lambda self: not self.flags & _NON_POSITIVE,
+                        doc="Negation only on atoms.")
+    has_or = property(lambda self: bool(self.flags & _HAS_OR))
+    has_d = property(lambda self: bool(self.flags & _HAS_D))
+    has_wide_d = property(lambda self: bool(self.flags & _HAS_WIDE_D),
+                          doc="Some ``D`` over a group of other than one agent.")
 
     def __repr__(self):
         return f"<Formula {to_sexp(self, share=False) if tree_size(self) < 80 else self.kind}>"
@@ -70,7 +83,7 @@ _INTERNED: dict[tuple, Formula] = {}
 
 
 def _intern(kind, payload, children: tuple) -> Formula:
-    key = (kind, payload, tuple(c.uid for c in children))
+    key = (kind, payload, tuple([c.uid for c in children]))
     node = _INTERNED.get(key)
     if node is None:
         node = Formula(kind, payload, children, uid=len(_INTERNED))
@@ -184,54 +197,78 @@ def _postorder(f: Formula) -> list[Formula]:
 # Model checking
 
 class ModelTable:
-    """Truth tables for formulas over one model.
+    """Truth tables for formulas over one model, or over the disjoint union
+    of several models of one workspace.
 
-    For each DAG node the table holds a boolean vector indexed by facet, so
-    repeated queries (and every modal step) reuse earlier work. ``D A phi``
-    holds at X iff phi holds at every facet sharing X's A-face (every facet
-    when A is empty), and ``K a phi`` is ``D {a} phi``: both are one
-    AND-reduction of phi's vector over the model's A-face classes.
+    For each DAG node the table holds a read-only boolean vector indexed by
+    facet, the models' facets in order, so repeated queries (and every modal
+    step) reuse earlier work. ``D A phi`` holds at X iff phi holds at every
+    facet of X's model sharing X's A-face (every facet of X's model when A is
+    empty), and ``K a phi`` is ``D {a} phi``. Each group's face classes are
+    read once per table; a modal step then marks the classes where phi fails
+    and reads the mark back per facet. When every class is one facet it is
+    phi's own vector, and when there is one class a constant.
     """
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self, *models):
+        if not models:
+            raise UsageError("a model table needs a model")
+        self.models = models
+        self.workspace = models[0].workspace
+        if any(m.workspace != self.workspace for m in models):
+            raise UsageError("models use different workspaces")
+        self.n_facets = sum(m.n_facets for m in models)
         self._vals: dict[int, np.ndarray] = {}
+        self._classes: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
 
     def satisfies(self, f: Formula) -> np.ndarray:
         """Read-only boolean vector: entry i <=> formula holds at facet i."""
-        self._ensure(f)
-        return self._vals[f.uid]
-
-    def check(self, facet: int, f: Formula) -> bool:
-        if not 0 <= facet < self.model.n_facets:
-            raise UsageError(f"facet index {facet} out of range")
-        return bool(self.satisfies(f)[facet])
-
-    def _ensure(self, f: Formula) -> None:
         for node in _postorder(f):
             if node.uid not in self._vals:
                 vec = self._compute(node)
                 vec.setflags(write=False)
                 self._vals[node.uid] = vec
+        return self._vals[f.uid]
+
+    def check(self, facet: int, f: Formula) -> bool:
+        if not 0 <= facet < self.n_facets:
+            raise UsageError(f"facet index {facet} out of range")
+        return bool(self.satisfies(f)[facet])
 
     def _compute(self, node: Formula) -> np.ndarray:
-        m = self.model
-        if node.kind == ATOM:
+        kind = node.kind
+        if kind == ATOM:
             a, v = node.payload
-            ws = m.workspace
+            ws = self.workspace
             if a >= ws.n_agents or v not in ws.value_set:
                 raise UsageError(f"atom {(a, v)!r} outside workspace {ws.agents}/{ws.values}")
-            return np.array([node.payload in lab for lab in m.facet_labels], dtype=bool)
-        if node.kind == NOT:
+            return np.array([node.payload in lab for m in self.models
+                             for lab in m.facet_labels], dtype=bool)
+        if kind == NOT:
             return ~self._vals[node.children[0].uid]
-        if node.kind == AND:
-            return np.logical_and.reduce([self._vals[c.uid] for c in node.children])
-        if node.kind == OR:
-            return np.logical_or.reduce([self._vals[c.uid] for c in node.children])
+        if kind == AND or kind == OR:
+            op = np.logical_and if kind == AND else np.logical_or
+            vecs = [self._vals[c.uid] for c in node.children]
+            return op(*vecs) if len(vecs) == 2 else op.reduce(vecs)
         child = self._vals[node.children[0].uid]
-        group = (node.payload,) if node.kind == K else node.payload
-        ids, order, starts = m.face_classes(group)
-        return np.logical_and.reduceat(child[order], starts)[ids]
+        group = (node.payload,) if kind == K else tuple(sorted(node.payload))
+        found = self._classes.get(group)
+        if found is None:
+            # each model's classes numbered after the previous model's
+            parts, count = [], 0
+            for m in self.models:
+                ids, _, starts = m.face_classes(group)
+                parts.append(ids + count)
+                count += len(starts)
+            found = self._classes[group] = (np.concatenate(parts), count)
+        ids, n_classes = found
+        if n_classes == self.n_facets:
+            return child
+        if n_classes == 1:
+            return np.full(self.n_facets, child.all())
+        hit = np.zeros(n_classes, dtype=bool)
+        hit[ids[~child]] = True
+        return ~hit[ids]
 
 
 def eval_formula(model, facet: int, f: Formula) -> bool:
@@ -254,13 +291,14 @@ def to_sexp(f: Formula, share: bool = True) -> str:
             raise UsageError(
                 f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
         return _write(f, {})
+    order = _postorder(f)
     refs: dict[int, int] = {}
-    for node in _postorder(f):
+    for node in order:
         for c in node.children:
             refs[c.uid] = refs.get(c.uid, 0) + 1
     names: dict[int, str] = {}
     bindings: list[str] = []
-    for node in _postorder(f):
+    for node in order:
         if node.uid != f.uid and refs.get(node.uid, 0) >= 2 and node.kind != ATOM:
             body = _write(node, names)
             names[node.uid] = f"x{len(names)}"

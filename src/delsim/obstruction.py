@@ -147,18 +147,15 @@ class ObstructionCheck:
 
 def verify_obstruction(phi: Formula, task, protocol) -> ObstructionCheck:
     """phi obstructs when the task model satisfies it everywhere and some
-    protocol facet refutes it. Only positive formulas qualify."""
+    protocol facet refutes it. Only positive formulas qualify. Both models
+    are checked in one table over their disjoint union."""
     if classify(phi) not in (FormulaClass.LK_POS, FormulaClass.LD_POS):
         raise UsageError("obstruction candidates must be positive formulas")
-    task_vec = ModelTable(task).satisfies(phi)
-    prot_vec = ModelTable(protocol).satisfies(phi)
-    counter = None
-    for i, ok in enumerate(prot_vec):
-        if not ok:
-            counter = i
-            break
+    vec = ModelTable(task, protocol).satisfies(phi)
+    task_vec, prot_vec = vec[:task.n_facets], vec[task.n_facets:]
+    refuted = np.flatnonzero(~prot_vec)
     return ObstructionCheck(task_models_phi=bool(task_vec.all()),
-                            protocol_countermodel=counter,
+                            protocol_countermodel=int(refuted[0]) if len(refuted) else None,
                             _protocol_truth=prot_vec)
 
 

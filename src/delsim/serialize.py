@@ -112,6 +112,10 @@ def _need(d: dict, key: str, where: str):
     return d[key]
 
 
+def _is_index(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_value(v, where: str, path: str):
     if isinstance(v, bool) or not isinstance(v, (int, str)):
         raise SchemaError(_ctx(where, f"{path}: values must be int or str, got {v!r}"))
@@ -200,7 +204,7 @@ def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
     if flat is None or (flat and not 0 <= min(flat) <= max(flat) < len(vertices)):
         # name the first bad facet
         for i, rf in enumerate(raw_facets):
-            if not (isinstance(rf, list) and all(isinstance(v, int) for v in rf)):
+            if not (isinstance(rf, list) and all(map(_is_index, rf))):
                 raise SchemaError(_ctx(where, f"facets[{i}]: expected a list of vertex ids"))
             for v in rf:
                 if not 0 <= v < len(vertices):
@@ -218,13 +222,13 @@ def _checked_vertices(raw_vertices: list, where: str) -> list[Vertex]:
         vid = _need(rv, "id", f"{where}:{path}" if where else path)
         color = _need(rv, "color", f"{where}:{path}" if where else path)
         atoms = rv.get("atoms", [])
-        if not isinstance(vid, int) or not isinstance(color, int):
+        if not (_is_index(vid) and _is_index(color)):
             raise SchemaError(_ctx(where, f"{path}: id and color must be ints"))
         if not isinstance(atoms, list):
             raise SchemaError(_ctx(where, f"{path}.atoms: expected a list"))
         pairs = set()
         for k, pair in enumerate(atoms):
-            if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], int)):
+            if not (isinstance(pair, list) and len(pair) == 2 and _is_index(pair[0])):
                 raise SchemaError(_ctx(where, f"{path}.atoms[{k}]: expected [agent, value]"))
             pairs.add((pair[0], _check_value(pair[1], where, f"{path}.atoms[{k}]")))
         if vid in ordered:
@@ -291,10 +295,6 @@ def relation_to_json(r: Relation, **extra: Any) -> dict:
          "pairs": np.stack([r.xs, r.js], axis=1)}
     d.update(extra)
     return d
-
-
-def _is_index(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def relation_from_json(d: dict, where: str = "") -> Relation:

@@ -1,4 +1,10 @@
 import pytest
+from hypothesis import settings
+
+# Example counts for the property tests that do not set their own:
+# ``--hypothesis-profile=ci-deep`` runs ten times as many as the default.
+settings.register_profile("default", max_examples=40)
+settings.register_profile("ci-deep", max_examples=400)
 
 from delsim.generators import (agreement_run, knowall_run, snapshot_run,
                                staircase_setup, DiGraph)

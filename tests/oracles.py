@@ -194,6 +194,30 @@ def eval_naive(model, facet: int, f) -> bool:
     return go(facet, f)
 
 
+def classify_naive(f) -> dict:
+    """Modal depth, the syntactic flags and the language class of ``f``, by
+    recursion over the tree: positive means negation only on atoms, a wide
+    ``D`` is one over a group of other than one agent, and the class is the
+    tightest of L_K+ ⊂ L_D+ (positive) or L_K ⊂ L_D (no disjunction)."""
+    kids = [classify_naive(c) for c in f.children]
+    out = {
+        "degree": (f.kind in ("K", "D")) + max((k["degree"] for k in kids), default=0),
+        "positive": (f.children[0].kind == "atom" if f.kind == "not"
+                     else all(k["positive"] for k in kids)),
+        "has_or": f.kind == "or" or any(k["has_or"] for k in kids),
+        "has_d": f.kind == "D" or any(k["has_d"] for k in kids),
+        "has_wide_d": (f.kind == "D" and len(f.payload) != 1)
+        or any(k["has_wide_d"] for k in kids),
+    }
+    if out["positive"]:
+        out["class"] = "L_D+" if out["has_wide_d"] else "L_K+"
+    elif out["has_or"]:
+        out["class"] = "none-positive"
+    else:
+        out["class"] = "L_D" if out["has_wide_d"] else "L_K"
+    return out
+
+
 # -- simulation chains ------------------------------------------------------
 
 def forth_naive(left, right, bits, mode: str) -> list[list[dict | None]]:

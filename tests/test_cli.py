@@ -208,6 +208,42 @@ def test_malformed_relation_is_schema_error(consensus_files, tmp_path, capsys, d
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _two_agent_model(**change):
+    """A valid one-facet model document, with the given vertex or facet
+    fields replaced."""
+    doc = {"format": "delsim-model/1", "agents": ["a", "b"], "values": [0],
+           "vertices": [{"id": 0, "color": 0, "atoms": [[0, 0]]},
+                        {"id": 1, "color": 1, "atoms": [[1, 0]]}],
+           "facets": [[0, 1]]}
+    for key, value in change.items():
+        if key == "facets":
+            doc["facets"] = value
+        else:
+            field, vertex = key.rsplit("_", 1)
+            doc["vertices"][int(vertex)][field] = value
+    return doc
+
+
+@pytest.mark.parametrize("change", [
+    {}, {"facets": [[False, True]]}, {"facets": [[0, True]]}, {"id_0": False},
+    {"color_1": True}, {"atoms_1": [[True, 0]]},
+])
+def test_json_booleans_are_not_ids(tmp_path, capsys, change):
+    """A JSON boolean is no vertex id, colour or atom agent, although
+    Python's ``True == 1``: the reader exits 2 rather than load it."""
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_two_agent_model(**change)))
+    code = run_cli(["simulate", "--left", str(model), "--right", str(model),
+                    "--mode", "K"])
+    err = capsys.readouterr().err
+    if not change:
+        assert code == 0
+    else:
+        assert code == 2
+        assert err.startswith(f"error: {model}: ")
+        assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"graphs": [[[0, 1]]]},

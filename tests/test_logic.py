@@ -10,7 +10,8 @@ from delsim.errors import UsageError
 from delsim.logic import (FormulaClass, ModelTable, atom, classify, conj,
                           dag_size, disj, dknow, eval_formula, from_sexp, know,
                           neg, to_sexp, tree_size)
-from delsim.models import input_model, standard_workspace
+from delsim.complexes import ChromaticComplex, Vertex
+from delsim.models import SimplicialModel, input_model, standard_workspace
 
 
 def random_formula(rng, ws, depth):
@@ -131,6 +132,55 @@ def test_unknown_atom_rejected():
         ModelTable(m).satisfies(atom(0, 7))
     with pytest.raises(UsageError):
         ModelTable(m).satisfies(atom(5, 0))
+
+
+def test_table_reads_each_group_once(snap1_2, agree1_2):
+    """``K a`` and ``D {a}`` share the group {a}, and ``D`` groups compare as
+    sets, so a table asks each model for one group's classes once."""
+    models = (snap1_2.model, agree1_2.model)
+    table = ModelTable(*models)
+    calls = []
+    for m in models:
+        def spy(colors, m=m, real=m.face_classes):
+            calls.append((id(m), tuple(sorted(colors))))
+            return real(colors)
+        m.face_classes = spy
+    try:
+        p = atom(0, 0)
+        for f in (know(0, p), dknow([0], p), know(0, neg(p)), dknow([1, 0], p),
+                  dknow([0, 1], know(1, p)), dknow([], p), dknow([], neg(p))):
+            table.satisfies(f)
+    finally:
+        for m in models:
+            del m.face_classes
+    assert sorted(calls) == sorted({(id(m), g) for m in models
+                                    for g in ((), (0,), (1,), (0, 1))})
+
+
+def test_table_over_two_models_keeps_them_apart():
+    """``D {}`` ranges over the facet's own model only: in the union of a
+    one-facet model where agent 0 has input 0 and the input model, it holds
+    on the first and fails on the second."""
+    ws = standard_workspace(2, (0, 1))
+    one = SimplicialModel(ws, ChromaticComplex(2, [Vertex(0, 0, frozenset({(0, 0)})),
+                                                   Vertex(1, 1, frozenset({(1, 0)}))],
+                                               [[0, 1]]))
+    full = input_model(ws)
+    q = atom(0, 0)
+    table = ModelTable(one, full)
+    assert table.satisfies(dknow([], q)).tolist() == [True] + [False] * full.n_facets
+    assert table.satisfies(q).tolist() == [True] + ModelTable(full).satisfies(q).tolist()
+    assert table.check(1, q) == ModelTable(full).check(0, q)
+    with pytest.raises(UsageError):
+        table.check(1 + full.n_facets, q)
+
+
+def test_table_models_share_a_workspace():
+    with pytest.raises(UsageError):
+        ModelTable(input_model(standard_workspace(2, (0, 1))),
+                   input_model(standard_workspace(2, (0, 2))))
+    with pytest.raises(UsageError):
+        ModelTable()
 
 
 def test_eval_formula_wrapper():

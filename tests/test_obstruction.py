@@ -1,10 +1,12 @@
 """Characteristic formulas, simulation duality, obstruction decisions."""
 
+import hashlib
+
 import pytest
 
 import oracles
 from delsim.errors import UsageError
-from delsim.logic import FormulaClass, ModelTable, atom, classify, neg
+from delsim.logic import FormulaClass, ModelTable, atom, classify, neg, to_sexp
 from delsim.models import find_morphism, input_model, standard_workspace
 from delsim.obstruction import (characteristic_formula, characteristic_formulas,
                                 decide_obstruction, verify_obstruction)
@@ -108,6 +110,23 @@ def test_verify_obstruction_checks_both_sides(snap1_2, agree1_2):
     bad = atom(0, 0)
     check2 = verify_obstruction(bad, agree1_2.model, snap1_2.model)
     assert not check2.confirms
+
+
+# sha256 of the obstructions' s-expressions, recorded before the writer
+# changed: the text of a formula must not move when its code does.
+PINNED_SEXP = {
+    ("consensus", "K"): "a4132ec62b6abf0c28440fc716e4ca633031d63837e695f0b141983bc660de86",
+    ("staircase", "K"): "8cf544d6d243a4f86c102c87d4560d5a1010cdee3158a9586ac00bfb2f13968c",
+    ("staircase", "D"): "7d0d1e02ebc9e2832c7c81638ca957b3d6ec5adcbb6baa751798de90857304e5",
+}
+
+
+@pytest.mark.parametrize("case, mode", sorted(PINNED_SEXP))
+def test_obstruction_sexp_text_is_pinned(case, mode, snap1_2, agree1_2, stair):
+    protocol, task = ((snap1_2.model, agree1_2.model) if case == "consensus"
+                      else (stair.protocol_run.model, stair.task_run.model))
+    phi = decide_obstruction(protocol, task, mode).phi
+    assert hashlib.sha256(to_sexp(phi).encode()).hexdigest() == PINNED_SEXP[case, mode]
 
 
 def test_verify_obstruction_rejects_non_positive(snap1_2, agree1_2):

@@ -2,7 +2,8 @@
 definition-chasing oracles: the face-class index, the simulation chain (also
 on models that repeat a facet), the Forth operator on arbitrary sub-relations
 of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
-counterexamples included), model checking of K and D formulas, and the
+counterexamples included), model checking of K and D formulas (also over
+two models in one table), formula flags against a recursive classifier, the
 duality between characteristic formulas and the chain, morphism search
 against plain enumeration, and the product update with random actions
 against its definition. Also the s-expression round trip over random
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from delsim import serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
-from delsim.logic import (ModelTable, atom, conj, disj, dknow, from_sexp, know,
-                          neg, to_sexp)
+from delsim.logic import (ModelTable, atom, classify, conj, disj, dknow, from_sexp,
+                          know, neg, to_sexp)
 from delsim.errors import UsageError
 from delsim.models import (ActionModel, SimplicialModel, find_morphism,
                            product_update, standard_workspace)
@@ -31,7 +32,7 @@ from delsim.simulation import Relation, SimulationEngine
 VALUES = (0, 1)
 WIDTH = 3     # vertices per color: 2 or 3 slots, not all of them used
 N_AGENTS = st.integers(1, 3)
-SETTINGS = settings(max_examples=40, deadline=None)
+SETTINGS = settings(deadline=None)  # example counts: conftest's profiles
 
 
 def atom_tables(n_agents: int):
@@ -207,6 +208,38 @@ def test_model_checking_matches_oracle(data):
             got = table.satisfies(psi)
             want = [oracles.eval_naive(model, x, psi) for x in range(model.n_facets)]
             assert got.tolist() == want
+
+
+@SETTINGS
+@given(model_pairs(repeats=True), st.data())
+def test_model_table_over_two_models_matches_oracle(pair, data):
+    """One table over the disjoint union of two models, and one over the
+    second alone, agree with the oracle on each model. Every modal operator
+    over each drawn formula, with the models' repeated facets, reaches each
+    way a modal step is taken: one-facet classes, one class (``D {}`` on one
+    model) and the scatter over larger classes."""
+    left, right = pair
+    n = left.workspace.n_agents
+    phis = data.draw(st.lists(formulas(n), min_size=1, max_size=3))
+    groups = [g for k in range(n + 1) for g in itertools.combinations(range(n), k)]
+    both, alone = ModelTable(left, right), ModelTable(right)
+    for phi in phis:
+        for psi in [phi, *(know(a, phi) for a in range(n)),
+                    *(dknow(g, phi) for g in groups)]:
+            want = [oracles.eval_naive(m, x, psi)
+                    for m in (left, right) for x in range(m.n_facets)]
+            got = both.satisfies(psi)
+            assert not got.flags.writeable
+            assert got.tolist() == want
+            assert alone.satisfies(psi).tolist() == want[left.n_facets:]
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(formulas))
+def test_formula_flags_match_oracle(phi):
+    want = oracles.classify_naive(phi)
+    assert classify(phi).value == want.pop("class")
+    assert {key: getattr(phi, key) for key in want} == want
 
 
 @SETTINGS
