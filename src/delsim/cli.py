@@ -17,6 +17,8 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 from . import serialize
 from .case_is2 import (conflict_relation, conflict_report, explicit_sa2_relation,
                        location_violations)
@@ -198,8 +200,8 @@ def _cmd_check(args) -> int:
                   args.output)
         else:
             vec = table.satisfies(phi)
-            _emit({"holds_at": [int(i) for i in range(len(vec)) if vec[i]],
-                   "fails_at": [int(i) for i in range(len(vec)) if not vec[i]],
+            _emit({"holds_at": np.flatnonzero(vec).tolist(),
+                   "fails_at": np.flatnonzero(~vec).tolist(),
                    "valid": bool(vec.all())}, args.output)
         return EXIT_OK
     if args.left is None or args.right is None:

@@ -153,15 +153,7 @@ def classify(f: Formula) -> FormulaClass:
 
 
 def dag_size(f: Formula) -> int:
-    seen: set[int] = set()
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if node.uid in seen:
-            continue
-        seen.add(node.uid)
-        stack.extend(node.children)
-    return len(seen)
+    return len(_postorder(f))
 
 
 def tree_size(f: Formula) -> int:
@@ -360,109 +352,94 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Heads of the lists that hold the whole text, a D group, a let's binding
+# list and one binding; no token has a space, so none is one of them.
+_ROOT, _GROUP, _BINDINGS, _BINDING = "the text", "D group", "let bindings", "let binding"
+# the length of a list whose form still lacks its one subformula
+_ONE_CHILD_AT = {_ROOT: 1, NOT: 1, K: 2, D: 2, "let": 2, _BINDING: 2}
+
+
 def from_sexp(text: str) -> Formula:
+    """Read a formula that `to_sexp` wrote, shared or expanded, in one
+    shift-reduce pass: ``(`` pushes a list that starts with the token after
+    it, other tokens are appended to the innermost list, and ``)`` pops it
+    and reduces it through the node builders into its parent; a D group
+    stays a list. A binding ``(name φ)`` binds any token as ``name`` in a
+    scope that opens with its let's binding list and closes with the let.
+    Where a form lacks its one subformula any token is a name, ``)`` too,
+    looked up when its list reduces. Other texts raise `UsageError`."""
     tokens = _tokenize(text)
     if not tokens:
         raise UsageError("empty formula")
-    pos = 0
+    env: dict[str, Formula] = {}
+    scopes: list[dict[str, Formula]] = []
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def look(p) -> Formula:
+        f = p if type(p) is Formula else env.get(p)
+        if f is None:
+            raise UsageError(f"unbound name {p!r} in formula")
+        return f
 
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise UsageError("unexpected end of formula")
-        tok = tokens[pos]
-        pos += 1
-        if expected is not None and tok != expected:
-            raise UsageError(f"expected {expected!r}, got {tok!r}")
-        return tok
-
-    def parse_int(tok: str) -> int:
-        try:
-            return int(tok)
-        except ValueError:
-            raise UsageError(f"expected an integer, got {tok!r}") from None
-
-    def parse_value(tok: str):
-        if tok.startswith('"'):
-            return json.loads(tok)
-        return parse_int(tok)
-
-    def start(env: dict[str, Formula]):
-        """Read a name or an atom outright; for any other form return the
-        generator that reads the rest of it."""
-        tok = take()
-        if tok != "(":
-            if tok in env:
-                return env[tok]
-            raise UsageError(f"unbound name {tok!r} in formula")
-        head = take()
-        if head == ATOM:
-            a = parse_int(take())
-            v = parse_value(take())
-            take(")")
-            return atom(a, v)
-        return compound(head, env)
-
-    def compound(head: str, env: dict[str, Formula]):
-        """Yield the scope of each subformula the form needs and get that
-        subformula sent back, so the loop below keeps the nesting on a list
-        rather than on the call stack."""
-        if head == NOT:
-            f = yield env
-            take(")")
-            return neg(f)
-        if head in (AND, OR):
-            parts = []
-            while peek() != ")":
-                parts.append((yield env))
-            take(")")
-            return conj(parts) if head == AND else disj(parts)
-        if head == K:
-            a = parse_int(take())
-            f = yield env
-            take(")")
-            return know(a, f)
-        if head == D:
-            take("(")
-            group = []
-            while peek() != ")":
-                group.append(parse_int(take()))
-            take(")")
-            f = yield env
-            take(")")
-            return dknow(group, f)
-        if head == "let":
-            take("(")
-            inner = dict(env)
-            while peek() == "(":
-                take("(")
-                name = take()
-                inner[name] = yield inner
-                take(")")
-            take(")")
-            body = yield inner
-            take(")")
-            return body
-        raise UsageError(f"unknown operator {head!r}")
-
-    stack = []
-    value = start({})
-    while True:
-        if not isinstance(value, Formula):
-            stack.append(value)
-            value = None
-        if not stack:
-            break
-        try:
-            scope = stack[-1].send(value)
-        except StopIteration as done:
-            stack.pop()
-            value = done.value
+    cur = root = [_ROOT]
+    stack = [root]
+    it = iter(tokens)
+    for tok in it:
+        if tok == "(":
+            head = cur[0] if len(cur) == 1 else None
+            if head == D:
+                cur = [_GROUP]
+            elif head == "let":
+                cur = [_BINDINGS]
+                scopes.append(env)
+                env = dict(env)
+            elif head == _BINDINGS:
+                cur = [_BINDING, next(it, None)]
+            else:
+                cur = [next(it, None)]
+            stack.append(cur)
+        elif tok != ")" or _ONE_CHILD_AT.get(cur[0]) == len(cur):
+            cur.append(tok)
         else:
-            value = start(scope)
-    if pos != len(tokens):
+            stack.pop()
+            head, n = cur[0], len(cur)
+            if head == AND or head == OR:
+                node = _junction(AND if head == AND else OR, [look(p) for p in cur[1:]])
+            elif head == K and n == 3:
+                node = know(_scalar(cur[1]), look(cur[2]))
+            elif head == ATOM and n == 3:
+                node = atom(_scalar(cur[1]), _scalar(cur[2], value=True))
+            elif head == NOT and n == 2:
+                node = neg(look(cur[1]))
+            elif head == D and n == 3 and type(cur[1]) is list:
+                node = dknow(cur[1], look(cur[2]))
+            elif head == _GROUP:
+                node = [_scalar(t) for t in cur[1:]]
+            elif head == _BINDING and n == 3:
+                env[cur[1]] = look(cur[2])
+                cur = stack[-1]
+                continue
+            elif head == _BINDINGS and n == 1:
+                node = _BINDINGS
+            elif head == "let" and n == 3 and cur[1] == _BINDINGS:
+                node = look(cur[2])
+                env = scopes.pop()
+            elif head == _ROOT:
+                raise UsageError("trailing tokens after formula")
+            else:
+                raise UsageError(f"unknown or malformed form ({head} ...) in formula")
+            cur = stack[-1]
+            cur.append(node)
+    if len(stack) > 1:
+        raise UsageError("unexpected end of formula")
+    if len(root) > 2:
         raise UsageError("trailing tokens after formula")
-    return value
+    return look(root[1])
+
+
+def _scalar(tok, value: bool = False):
+    """The int ``tok`` spells; for an atom's ``value`` also a JSON string."""
+    try:
+        return json.loads(tok) if value and tok[:1] == '"' else int(tok)
+    except (TypeError, ValueError):
+        what = "an int or a string" if value else "an int"
+        raise UsageError(f"expected {what}, got {tok!r}") from None

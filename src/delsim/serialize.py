@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import itemgetter
 from typing import IO, Any
 
 import numpy as np
@@ -163,43 +162,12 @@ def _flat_ints(rows: list, width: int | None = None,
     return flat if set(map(type, flat)) <= {int} else None
 
 
-def _vertices_from_json(raw: list) -> list[Vertex] | None:
-    """The vertices in id order, when every vertex is an object with int
-    ``id`` and ``color``, the ids are 0..n-1, and ``atoms`` (if present)
-    lists ``[agent, value]`` pairs of an int and an int or str; else None."""
-    if not set(map(type, raw)) <= {dict}:
-        return None
-    try:
-        ids = list(map(itemgetter("id"), raw))
-        colors = list(map(itemgetter("color"), raw))
-    except KeyError:
-        return None
-    atoms = [rv.get("atoms", []) for rv in raw]
-    if not (set(map(type, ids + colors)) <= {int}
-            and sorted(ids) == list(range(len(ids)))
-            and set(map(type, atoms)) <= {list}):
-        return None
-    pairs = list(itertools.chain.from_iterable(atoms))
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        return None
-    flat = list(itertools.chain.from_iterable(pairs))
-    if not (set(map(type, flat[0::2])) <= {int}
-            and set(map(type, flat[1::2])) <= {int, str}):
-        return None
-    out: list = [None] * len(ids)
-    for vid, color, own in zip(ids, colors, atoms):
-        out[vid] = Vertex(id=vid, color=color, atoms=frozenset(map(tuple, own)))
-    return out
-
-
 def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
     raw_vertices = _need(d, "vertices", where)
     raw_facets = _need(d, "facets", where)
     if not isinstance(raw_vertices, list) or not isinstance(raw_facets, list):
         raise SchemaError(_ctx(where, "vertices/facets must be lists"))
-    vertices = _vertices_from_json(raw_vertices)
-    if vertices is None:
-        vertices = _checked_vertices(raw_vertices, where)
+    vertices = _vertices_from_json(raw_vertices, where)
     flat = _flat_ints(raw_facets)
     if flat is None or (flat and not 0 <= min(flat) <= max(flat) < len(vertices)):
         # name the first bad facet
@@ -212,28 +180,31 @@ def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
     return ChromaticComplex(n_agents, vertices, raw_facets)
 
 
-def _checked_vertices(raw_vertices: list, where: str) -> list[Vertex]:
-    """The vertices, checked one at a time: names the first bad one."""
+def _vertices_from_json(raw_vertices: list, where: str) -> list[Vertex]:
+    """The vertices in id order, each checked as it is built: names the
+    first bad one, then checks that the ids are 0..n-1."""
     ordered: dict[int, Vertex] = {}
     for i, rv in enumerate(raw_vertices):
-        path = f"vertices[{i}]"
-        if not isinstance(rv, dict):
-            raise SchemaError(_ctx(where, f"{path}: expected an object"))
-        vid = _need(rv, "id", f"{where}:{path}" if where else path)
-        color = _need(rv, "color", f"{where}:{path}" if where else path)
-        atoms = rv.get("atoms", [])
-        if not (_is_index(vid) and _is_index(color)):
-            raise SchemaError(_ctx(where, f"{path}: id and color must be ints"))
-        if not isinstance(atoms, list):
-            raise SchemaError(_ctx(where, f"{path}.atoms: expected a list"))
-        pairs = set()
+        if type(rv) is not dict:
+            raise SchemaError(_ctx(where, f"vertices[{i}]: expected an object"))
+        if "id" not in rv or "color" not in rv:
+            at = f"{where}:vertices[{i}]" if where else f"vertices[{i}]"
+            _need(rv, "id", at)
+            _need(rv, "color", at)
+        vid, color, atoms = rv["id"], rv["color"], rv.get("atoms", [])
+        if type(vid) is not int or type(color) is not int:
+            raise SchemaError(_ctx(where, f"vertices[{i}]: id and color must be ints"))
+        if type(atoms) is not list:
+            raise SchemaError(_ctx(where, f"vertices[{i}].atoms: expected a list"))
         for k, pair in enumerate(atoms):
-            if not (isinstance(pair, list) and len(pair) == 2 and _is_index(pair[0])):
-                raise SchemaError(_ctx(where, f"{path}.atoms[{k}]: expected [agent, value]"))
-            pairs.add((pair[0], _check_value(pair[1], where, f"{path}.atoms[{k}]")))
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int):
+                raise SchemaError(
+                    _ctx(where, f"vertices[{i}].atoms[{k}]: expected [agent, value]"))
+            if type(pair[1]) is not int and type(pair[1]) is not str:
+                _check_value(pair[1], where, f"vertices[{i}].atoms[{k}]")
         if vid in ordered:
-            raise SchemaError(_ctx(where, f"{path}: duplicate vertex id {vid}"))
-        ordered[vid] = Vertex(id=vid, color=color, atoms=frozenset(pairs))
+            raise SchemaError(_ctx(where, f"vertices[{i}]: duplicate vertex id {vid}"))
+        ordered[vid] = Vertex(id=vid, color=color, atoms=frozenset(map(tuple, atoms)))
     if sorted(ordered) != list(range(len(ordered))):
         raise SchemaError(_ctx(where, "vertex ids must be dense 0..n-1"))
     return [ordered[i] for i in range(len(ordered))]

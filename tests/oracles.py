@@ -6,17 +6,19 @@ here calls the library's face-class index, the vectorized model table, or
 the simulation engine, so agreement between these oracles and the fast
 paths is meaningful evidence rather than a tautology. From the library the
 snapshot oracle takes only the definitions ``compute_view`` and
-``ordered_partitions``, and the formula factories, which intern.
+``ordered_partitions``, the s-expression oracle only the tokenizer, and
+both take the formula factories, which intern.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from math import comb
 
 from delsim.errors import UsageError
 from delsim.generators import compute_view, ordered_partitions
-from delsim.logic import atom, conj
+from delsim.logic import Formula, _tokenize, atom, conj, disj, dknow, know, neg
 
 
 # -- raw structure ----------------------------------------------------------
@@ -216,6 +218,118 @@ def classify_naive(f) -> dict:
     else:
         out["class"] = "L_D" if out["has_wide_d"] else "L_K"
     return out
+
+
+# -- s-expression reading ---------------------------------------------------
+
+def from_sexp_naive(text: str) -> Formula:
+    """A recursive-descent reader of ``to_sexp``'s text: each form is a
+    generator that yields the scope of each subformula it needs and gets the
+    subformula sent back, so nesting lives on a list, not on the call stack.
+    The reference for ``from_sexp``, which must accept and reject the same
+    texts and return the same node."""
+    tokens = _tokenize(text)
+    if not tokens:
+        raise UsageError("empty formula")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        if pos >= len(tokens):
+            raise UsageError("unexpected end of formula")
+        tok = tokens[pos]
+        pos += 1
+        if expected is not None and tok != expected:
+            raise UsageError(f"expected {expected!r}, got {tok!r}")
+        return tok
+
+    def parse_int(tok: str) -> int:
+        try:
+            return int(tok)
+        except ValueError:
+            raise UsageError(f"expected an integer, got {tok!r}") from None
+
+    def parse_value(tok: str):
+        if tok.startswith('"'):
+            return json.loads(tok)
+        return parse_int(tok)
+
+    def start(env: dict[str, Formula]):
+        """Read a name or an atom outright; for any other form return the
+        generator that reads the rest of it."""
+        tok = take()
+        if tok != "(":
+            if tok in env:
+                return env[tok]
+            raise UsageError(f"unbound name {tok!r} in formula")
+        head = take()
+        if head == "atom":
+            a = parse_int(take())
+            v = parse_value(take())
+            take(")")
+            return atom(a, v)
+        return compound(head, env)
+
+    def compound(head: str, env: dict[str, Formula]):
+        if head == "not":
+            f = yield env
+            take(")")
+            return neg(f)
+        if head in ("and", "or"):
+            parts = []
+            while peek() != ")":
+                parts.append((yield env))
+            take(")")
+            return conj(parts) if head == "and" else disj(parts)
+        if head == "K":
+            a = parse_int(take())
+            f = yield env
+            take(")")
+            return know(a, f)
+        if head == "D":
+            take("(")
+            group = []
+            while peek() != ")":
+                group.append(parse_int(take()))
+            take(")")
+            f = yield env
+            take(")")
+            return dknow(group, f)
+        if head == "let":
+            take("(")
+            inner = dict(env)
+            while peek() == "(":
+                take("(")
+                name = take()
+                inner[name] = yield inner
+                take(")")
+            take(")")
+            body = yield inner
+            take(")")
+            return body
+        raise UsageError(f"unknown operator {head!r}")
+
+    stack = []
+    value = start({})
+    while True:
+        if not isinstance(value, Formula):
+            stack.append(value)
+            value = None
+        if not stack:
+            break
+        try:
+            scope = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            value = start(scope)
+    if pos != len(tokens):
+        raise UsageError("trailing tokens after formula")
+    return value
 
 
 # -- simulation chains ------------------------------------------------------

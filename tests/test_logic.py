@@ -216,7 +216,8 @@ def test_sexp_shares_repeated_subterms():
 
 def test_sexp_parse_errors():
     for bad in ["", "(", "(and)", "(atom 0)", "(K x (atom 0 0))",
-                "(let ((x0)) x0)", "(atom 0 0) extra"]:
+                "(let ((x0)) x0)", "(atom 0 0) extra", '(atom 0 "\\q")',
+                "(atom (atom 0 0) 0)", "(D ((atom 0 0)) (atom 0 0))", "()"]:
         with pytest.raises(UsageError):
             from_sexp(bad)
 
@@ -230,6 +231,11 @@ def test_sexp_parse_errors():
 def test_sexp_token_errors(bad, message):
     with pytest.raises(UsageError, match=re.escape(message)):
         from_sexp(bad)
+
+
+def test_sexp_nested_let_shadows_and_closes():
+    text = "(let ((x (atom 0 0))) (and (let ((x (atom 1 1))) x) x))"
+    assert from_sexp(text) is conj([atom(1, 1), atom(0, 0)])
 
 
 @pytest.mark.parametrize("share", [True, False])

@@ -7,7 +7,8 @@ two models in one table), formula flags against a recursive classifier, the
 duality between characteristic formulas and the chain, morphism search
 against plain enumeration, and the product update with random actions
 against its definition. Also the s-expression round trip over random
-formulas, the JSON round trips of models and relations, and the JSON
+formulas, the s-expression reader against a recursive-descent reader on
+mutated texts, the JSON round trips of models and relations, and the JSON
 writer against the standard library's."""
 
 import itertools
@@ -21,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from delsim import serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
-from delsim.logic import (ModelTable, atom, classify, conj, disj, dknow, from_sexp,
-                          know, neg, to_sexp)
+from delsim.logic import (Formula, ModelTable, _tokenize, atom, classify, conj, disj,
+                          dknow, from_sexp, know, neg, to_sexp)
 from delsim.errors import UsageError
 from delsim.models import (ActionModel, SimplicialModel, find_morphism,
                            product_update, standard_workspace)
@@ -305,6 +306,81 @@ SEXP_VALUES = (st.text(alphabet='"\\() \n\tab', max_size=6)
 def test_sexp_round_trip(phi):
     for share in (True, False):
         assert from_sexp(to_sexp(phi, share=share)) is phi
+
+
+# tokens a mutation may insert: each form's head, both brackets, a number,
+# a name and a string
+SEXP_INSERTS = ("(", ")", "let", "and", "or", "not", "K", "D", "atom", "0", "x0", '"s"')
+
+
+@st.composite
+def mutated_sexp(draw):
+    """The shared or expanded text of a random formula φ or of ``φ ∧ K φ``
+    (whose shared text binds a non-atom φ in a let), after one to three
+    token-level mutations: delete a token, insert one, swap two, or
+    truncate."""
+    phi = draw(N_AGENTS.flatmap(lambda n: formulas(n, SEXP_VALUES)))
+    if draw(st.booleans()):
+        phi = conj([phi, know(0, phi)])
+    tokens = _tokenize(to_sexp(phi, share=draw(st.booleans())))
+    for _ in range(draw(st.integers(1, 3))):
+        n = len(tokens)
+        i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+        kind = draw(st.sampled_from(["delete", "insert", "swap", "truncate"]))
+        if kind == "insert":
+            tokens.insert(i, draw(st.sampled_from(SEXP_INSERTS)))
+        elif kind == "truncate":
+            del tokens[i:]
+        elif i < n and j < n:
+            if kind == "delete":
+                del tokens[i]
+            else:
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+    return " ".join(tokens)
+
+
+def assert_reads_like_naive(text: str) -> Formula | None:
+    """``from_sexp`` returns the recursive-descent reader's node, or both
+    raise UsageError (then None)."""
+    try:
+        expected = oracles.from_sexp_naive(text)
+    except UsageError:
+        with pytest.raises(UsageError):
+            from_sexp(text)
+        return None
+    assert from_sexp(text) is expected
+    return expected
+
+
+@SETTINGS
+@given(mutated_sexp())
+def test_from_sexp_matches_naive_reader(text):
+    assert_reads_like_naive(text)
+
+
+@pytest.mark.parametrize("text, accepted", [
+    # names that are keywords, numbers, strings or brackets
+    ("(let ((and (atom 0 0))) (and and and))", True),
+    ("(let ((0 (atom 0 0))) (K 0 0))", True),
+    ('(let (("s" (atom 0 0))) (not "s"))', True),
+    ("(let ((( (atom 0 0))) (atom 1 1))", True),
+    # a bound ")" is a name where a form still lacks its one subformula
+    ("(let (() (atom 0 0))) (D (0 1) )))", True),
+    ("(let (() (atom 0 0)) (y )) ) y)", True),
+    ("(let (() (atom 0 0))) (and ) ))", False),
+    # a later binding sees an earlier one; the scope closes with the let
+    ("(let ((x (atom 0 0)) (x (not x))) x)", True),
+    ("(let () (atom 0 0))", True),
+    ("(let ((x (atom 0 0))) (let ((y x)) y) x)", False),
+    ("(atom +1 1_0)", True),
+    ("let (() (atom 0 0))) )", False),
+    ("(let (x) (atom 0 0))", False),
+    ("(let ((x (atom 0 0) (atom 1 1))) x)", False),
+    ("(D 0 (atom 0 0))", False),
+    ("((atom 0 0))", False),
+])
+def test_from_sexp_matches_naive_reader_on_edge_texts(text, accepted):
+    assert (assert_reads_like_naive(text) is not None) == accepted
 
 
 @SETTINGS

@@ -92,6 +92,41 @@ def test_model_rejects_bad_values(snap1_2):
         serialize.model_from_json(doc)
 
 
+GOOD_VERTEX_1 = {"id": 1, "color": 1, "atoms": [[1, 1]]}
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([5, GOOD_VERTEX_1], "m.json: vertices[0]: expected an object"),
+    ([{"color": 0}, GOOD_VERTEX_1], "m.json:vertices[0]: missing key 'id'"),
+    ([{"id": 0}, GOOD_VERTEX_1], "m.json:vertices[0]: missing key 'color'"),
+    ([{"id": "0", "color": 0}, GOOD_VERTEX_1],
+     "m.json: vertices[0]: id and color must be ints"),
+    ([{"id": 0, "color": True}, GOOD_VERTEX_1],
+     "m.json: vertices[0]: id and color must be ints"),
+    ([{"id": 0, "color": 0, "atoms": {"0": 0}}, GOOD_VERTEX_1],
+     "m.json: vertices[0].atoms: expected a list"),
+    ([{"id": 0, "color": 0, "atoms": [[0, 0, 0]]}, GOOD_VERTEX_1],
+     "m.json: vertices[0].atoms[0]: expected [agent, value]"),
+    ([{"id": 0, "color": 0, "atoms": [[True, 0]]}, GOOD_VERTEX_1],
+     "m.json: vertices[0].atoms[0]: expected [agent, value]"),
+    ([{"id": 0, "color": 0, "atoms": [[0, 0.5]]}, GOOD_VERTEX_1],
+     "m.json: vertices[0].atoms[0]: values must be int or str, got 0.5"),
+    ([{"id": 1, "color": 0}, GOOD_VERTEX_1], "m.json: vertices[1]: duplicate vertex id 1"),
+    ([{"id": 99, "color": 0}, GOOD_VERTEX_1], "m.json: vertex ids must be dense 0..n-1"),
+    # the per-vertex checks run before the dense-id check
+    ([{"id": 99, "color": 0}, {"id": 1, "color": 1, "atoms": 5}],
+     "m.json: vertices[1].atoms: expected a list"),
+])
+def test_model_reader_names_the_first_bad_vertex(vertices, message):
+    doc = {"format": "delsim-model/1", "agents": ["a", "b"], "values": [0, 1],
+           "vertices": [{"id": 0, "color": 0, "atoms": [[0, 0]]}, GOOD_VERTEX_1],
+           "facets": [[0, 1]]}
+    serialize.model_from_json(doc, where="m.json")
+    with pytest.raises(SchemaError) as err:
+        serialize.model_from_json({**doc, "vertices": vertices}, where="m.json")
+    assert str(err.value) == message
+
+
 def test_relation_rejects_bad_dims():
     with pytest.raises(SchemaError):
         serialize.relation_from_json({"dims": [2], "pairs": []})

@@ -8,7 +8,8 @@ import pytest
 import oracles
 from delsim import simulation
 from delsim.errors import InternalConsistencyError, UsageError
-from delsim.models import input_model, standard_workspace
+from delsim.complexes import ChromaticComplex, Vertex
+from delsim.models import SimplicialModel, input_model, standard_workspace
 from delsim.obstruction import decide_obstruction
 from delsim.simulation import Relation, SimulationEngine, totality_witnesses
 
@@ -206,6 +207,25 @@ def test_verify_accepts_the_fixpoint(snap1_2, agree2_2):
         report = eng.verify(fix, mode)
         assert report.is_simulation and report.total
         assert report.to_json()["forth_ok"]
+
+
+def test_verify_keeps_the_full_group_on_repeated_facets():
+    """``verify`` checks Forth on any relation, so D mode must keep the
+    full group when a model repeats a facet. Left facet 1 repeats facet 0,
+    so at (0, 0) the obligation for Y = 1 asks for a partner of 1 with
+    right facet 0's vertices, but 1's partners (right facets 1 and 2) each
+    share one colour with right facet 0; every one-colour group is met."""
+    ws = standard_workspace(2, (0, 1))
+
+    def model(colors, facets):  # no atoms: every facet has the same label
+        vertices = [Vertex(i, c, frozenset()) for i, c in enumerate(colors)]
+        return SimplicialModel(ws, ChromaticComplex(2, vertices, facets))
+
+    left = model([0, 1], [[0, 1], [0, 1]])
+    right = model([0, 0, 1, 1], [[0, 2], [0, 3], [1, 2]])
+    r = Relation.from_pairs((2, 3), [(0, 0), (1, 1), (1, 2)])
+    report = SimulationEngine(left, right).verify(r, "D")
+    assert {"kind": "forth", "left": 0, "right": 0, "witness": 1} in report.counterexamples
 
 
 def test_mode_validation(snap1_2, agree1_2):
