@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import UsageError
 from .generators import AgreementRun, SnapshotRun, explicit_agreement_relation
-from .simulation import Relation
+from .simulation import Relation, _find
 
 
 @dataclass(eq=False)
@@ -173,18 +173,17 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
 
 def location_violations(snap: SnapshotRun, rel: ConflictRelation) -> list[tuple[int, int]]:
     """Derived conflict pairs that, contrary to the location property, do
-    co-occur in a facet of either agent's initial-block subcomplex."""
-    in_sub = {a: initial_block_facets(snap, a) for a in (rel.p, rel.q)}
-    cofacets: dict[frozenset, set[int]] = {}
-    for f in snap.model.facets:
-        for x, y in itertools.combinations(f.vertices, 2):
-            cofacets.setdefault(frozenset((x, y)), set()).add(f.index)
-    bad = []
-    for (x, y) in sorted(rel.final):
-        owners = cofacets.get(frozenset((x, y)), set())
-        if owners & in_sub[rel.p] or owners & in_sub[rel.q]:
-            bad.append((x, y))
-    return bad
+    co-occur in a facet of either agent's initial-block subcomplex.
+
+    Read as keys ``x * n_vertices + y``: the ordered vertex pairs of those
+    facets' ``vertex_table`` rows, as :func:`conflict_relation` builds
+    them, against ``final_keys``."""
+    facets = sorted(initial_block_facets(snap, rel.p) | initial_block_facets(snap, rel.q))
+    rows = snap.model.vertex_table[facets].astype(np.int64)
+    pairs = itertools.permutations(range(rows.shape[1]), 2)
+    inside = np.sort(np.concatenate([rows[:, a] * rel.n_vertices + rows[:, b] for a, b in pairs]))
+    bad = rel.final_keys[_find(inside, rel.final_keys)[1]]
+    return [divmod(key, rel.n_vertices) for key in bad.tolist()]
 
 
 def everyone_decides_input_of(agree: AgreementRun, agent: int,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import re
 import sys
 
 import numpy as np
@@ -65,26 +66,28 @@ def _load_json_arg(path: str) -> dict:
     return serialize.load_json(path)
 
 
+def _values(text: str) -> list[int | str]:
+    """Comma-separated value tokens: ASCII ``-?[0-9]+`` reads as an int,
+    anything else as a string."""
+    return [int(s) if re.fullmatch("-?[0-9]+", s) else s
+            for s in (t.strip() for t in text.split(","))]
+
+
 def _workspace_from_args(agents: str, values: str | None) -> Workspace:
-    if agents.isdigit():
+    if re.fullmatch("[0-9]+", agents):
         names = tuple(f"p{i}" for i in range(int(agents)))
     else:
         names = tuple(s.strip() for s in agents.split(",") if s.strip())
     if not names:
         raise UsageError("--agents needs a count or a comma-separated name list")
-    if values is None:
-        vals = tuple(range(len(names)))
-    else:
-        vals = tuple(int(s) if s.strip().lstrip("-").isdigit() else s.strip()
-                     for s in values.split(","))
+    vals = tuple(range(len(names)) if values is None else _values(values))
     return Workspace(names, vals)
 
 
 def _parse_inputs(text: str | None, ws: Workspace):
     if text is None:
         return None
-    vals = [int(s) if s.strip().lstrip("-").isdigit() else s.strip()
-            for s in text.split(",")]
+    vals = _values(text)
     if len(vals) != ws.n_agents:
         raise UsageError(f"--inputs needs {ws.n_agents} values")
     return vals

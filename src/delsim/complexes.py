@@ -5,9 +5,10 @@ set of atomic propositions, facets are the maximal simplices, and only facets
 are materialized (all lower-dimensional simplices are their subsets). Facet
 intersections are the carrier of indistinguishability; the library reads
 them from :meth:`SimplicialModel.face_classes` and ``vertex_table``. The
-per-facet adjacency lists here (the color sets of pairwise intersections)
-stay only as the benchmark's trace target (``perfbench/tracing.py``);
-nothing in the library reads them.
+per-facet adjacency lists here (the color sets of pairwise intersections),
+and the per-vertex facet lists they are built from, stay only as the
+benchmark's trace target (``perfbench/tracing.py``); nothing else in the
+library reads them.
 """
 
 from __future__ import annotations

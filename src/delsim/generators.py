@@ -599,15 +599,14 @@ def round_prefix_morphism(src: SnapshotRun, dst: SnapshotRun) -> Morphism:
     for t in range(dst.model.n_facets):
         for inp, gammas in dst.facet_schedules(t):
             lookup[(inp, gammas)] = t
+    rows = dst.model.vertex_table.tolist()
     vmap: dict[int, int] = {}
-    for i, facet in enumerate(src.model.facets):
+    for i, row in enumerate(src.model.vertex_table.tolist()):
         inp, gammas = src.facet_schedules(i)[0]
         key = (inp, gammas[:s])
         if key not in lookup:
             raise UsageError("target run does not cover the source inputs")
-        image = dst.model.facets[lookup[key]]
-        for a in range(src.workspace.n_agents):
-            v, w = facet.vertices[a], image.vertices[a]
+        for v, w in zip(row, rows[lookup[key]]):
             if vmap.setdefault(v, w) != w:
                 raise InternalConsistencyError(
                     f"prefix map sends vertex {v} to both {vmap[v]} and {w}")

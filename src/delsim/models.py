@@ -243,12 +243,12 @@ class Morphism:
                             for i, j in enumerate(self.facet_images(source, target)) if j is None]
 
     def facet_images(self, source: SimplicialModel, target: SimplicialModel) -> list[int | None]:
-        """Per source facet, the target facet that is its image, or None."""
-        tv = target.complex.vertices
-        index = {f.vertices: f.index for f in target.facets}
-        return [index.get(tuple(sorted({self.vmap[v] for v in f.vertices},
-                                       key=lambda w: (tv[w].color, w))))
-                for f in source.facets]
+        """Per source facet, the target facet that is its image, or None.
+        A colour-preserving map sends a ``vertex_table`` row, ordered by
+        colour, to a row ordered by colour."""
+        index = {tuple(row): j for j, row in enumerate(target.vertex_table.tolist())}
+        return [index.get(tuple(map(self.vmap.__getitem__, row)))
+                for row in source.vertex_table.tolist()]
 
 
 def graph_of_morphism(f: Morphism, source: SimplicialModel,
@@ -264,92 +264,58 @@ def graph_of_morphism(f: Morphism, source: SimplicialModel,
 def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism | None:
     """Exhaustive backtracking search for a morphism.
 
-    Variables are source facets, domains are label-compatible target facets;
-    facets sharing a vertex must agree on its image. Forward checking plus
+    Variables are source facets, domains are target facets; facets sharing
+    a vertex must agree on its image. Forward checking plus
     smallest-domain-first selection (degree as tiebreak) keeps the search
     tractable at the scales used here.
 
-    The domains start inside the maximum D-simulation (the D chain's
+    The domains are the partners in the maximum D-simulation (the D chain's
     fixpoint), and there is no morphism when that is not total: a colour-
     and label-preserving simplicial map sends facets that share their
     S-face to facets that share at least that face, so its facet graph is a
-    D-simulation and lies inside the maximum one.
+    D-simulation and lies inside the maximum one. No vertex is filtered by
+    colour and atoms: validated atoms sit on their own colour's vertex, so
+    label-equal facets carry equal atoms colour by colour, and every pair of
+    the fixpoint already maps each vertex to one with its colour and atoms.
     """
     if source.workspace != target.workspace:
         raise UsageError("models use different workspaces")
-    sv, tv = source.complex.vertices, target.complex.vertices
-
-    by_color_atoms: dict[tuple, list[int]] = {}
-    for w in tv:
-        by_color_atoms.setdefault((w.color, w.atoms), []).append(w.id)
-    vdom = [frozenset(by_color_atoms.get((v.color, v.atoms), ())) for v in sv]
-    if any(not d for d in vdom):
-        return None
-
     fixpoint = SimulationEngine(source, target).chain("D").fixpoint
     if not fixpoint.is_total():
         return None
-    n = source.workspace.n_agents
-    domains: list[list[int]] = []
-    for fa in source.facets:
-        cands = [j for j in fixpoint.partners(fa.index).tolist()
-                 if all(target.facets[j].vertices[a] in vdom[fa.vertices[a]]
-                        for a in range(n))]
-        if not cands:
-            return None
-        domains.append(cands)
-
+    domains = [fixpoint.partners(i).tolist() for i in range(source.n_facets)]
+    src, dst = source.vertex_table.tolist(), target.vertex_table.tolist()
+    # owners[v]: the facets holding vertex v, the {a}-class of v's colour a
+    owners: dict[int, list[int]] = {}
+    for a in range(source.workspace.n_agents):
+        _, order, starts = source.face_classes((a,))
+        for members in np.split(order, starts[1:]):
+            owners[src[members[0]][a]] = members.tolist()
     # degree: how many other facets share a vertex with the facet
-    owners = source.complex.vertex_facets
-    degree = [len(set().union(*(owners[v] for v in fa.vertices))) - 1
-              for fa in source.facets]
+    degree = [len(set().union(*map(owners.__getitem__, row))) - 1 for row in src]
     assignment: list[int | None] = [None] * source.n_facets
     vassign: dict[int, int] = {}
 
     def consistent(i: int, j: int) -> bool:
-        gf = target.facets[j]
-        fa = source.facets[i]
-        for a in range(n):
-            bound = vassign.get(fa.vertices[a])
-            if bound is not None and bound != gf.vertices[a]:
-                return False
-        return True
+        return all(vassign.get(v, w) == w for v, w in zip(src[i], dst[j]))
 
     def search() -> bool:
-        best, best_key = None, None
-        for i in range(source.n_facets):
-            if assignment[i] is None:
-                key = (len(domains[i]), -degree[i], i)
-                if best_key is None or key < best_key:
-                    best, best_key = i, key
-        if best is None:
+        free = [i for i, j in enumerate(assignment) if j is None]
+        if not free:
             return True
-        i = best
-        fa = source.facets[i]
+        i = min(free, key=lambda i: (len(domains[i]), -degree[i], i))
         for j in domains[i]:
             if not consistent(i, j):
                 continue
-            gf = target.facets[j]
-            newly = [fa.vertices[a] for a in range(n) if fa.vertices[a] not in vassign]
+            newly = [v for v in src[i] if v not in vassign]
             assignment[i] = j
-            for a in range(n):
-                vassign[fa.vertices[a]] = gf.vertices[a]
-            trail: list[tuple[int, list[int]]] = []
-            dead = False
-            for v in newly:
-                for k in source.complex.vertex_facets[v]:
-                    if assignment[k] is not None:
-                        continue
-                    kept = [jj for jj in domains[k] if consistent(k, jj)]
-                    if len(kept) != len(domains[k]):
-                        trail.append((k, domains[k]))
-                        domains[k] = kept
-                        if not kept:
-                            dead = True
-                            break
-                if dead:
-                    break
-            if not dead and search():
+            vassign.update(zip(src[i], dst[j]))
+            # forward checking: prune the free facets sharing a newly bound vertex
+            touched = {k for v in newly for k in owners[v] if assignment[k] is None}
+            trail = [(k, domains[k]) for k in touched]
+            for k in touched:
+                domains[k] = [jj for jj in domains[k] if consistent(k, jj)]
+            if all(domains[k] for k in touched) and search():
                 return True
             for k, old in trail:
                 domains[k] = old
@@ -360,4 +326,4 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
 
     if not search():
         return None
-    return Morphism(tuple(vassign[v] for v in range(len(sv))))
+    return Morphism(tuple(vassign[v] for v in range(len(source.complex.vertices))))

@@ -279,6 +279,16 @@ class _Counters:
         at, found = _find(self.blocks, self.lid[xs] * self.nc + self.rid[js])
         return found & (self.miss[at] == 0)
 
+    def unmet(self, x: int, j: int) -> int | None:
+        """The first member Y of x's S-class with no pair into j's S-class:
+        the obligation that fails Forth for S at (x, j), or None."""
+        b = self.lid[x]
+        members = self.lorder[self.lstarts[b]:self.lstarts[b] + self.lsize[b]]
+        at, found = _find(self.cells, members * self.nc + self.rid[j])
+        found[found] = self.cnt[at[found]] > 0  # the chain subtracts cells to zero
+        missing = members[~found]
+        return int(missing[0]) if len(missing) else None
+
     def remove(self, ys: np.ndarray, yys: np.ndarray):
         """Subtract the pairs (ys, yys); return the blocks that just failed."""
         at = np.searchsorted(self.cells, ys * self.nc + self.rid[yys])
@@ -471,55 +481,45 @@ class SimulationEngine:
         return live, removed, sizes, totals
 
     def verify(self, r: Relation, mode: Mode, max_counterexamples: int = 10) -> VerificationReport:
-        """Check the simulation conditions for an arbitrary relation."""
+        """Check the simulation conditions for an arbitrary relation.
+
+        Counterexamples list the pairs outside S_0, then for each pair (x, j)
+        where Forth fails its first unmet obligation, both in pair order.
+        The obligations are read from the counters that decided Forth
+        (:meth:`_Counters.unmet`): in K mode the first agent a, then the
+        first Y of x's a-class with no partner in j's a-class; in D mode the
+        least such Y over all groups. Y is unmet for some group S ⊆ sh(x, Y)
+        exactly when it is unmet for sh(x, Y), as a larger group only
+        strengthens the obligation. Leaving out the full group at the
+        relation's own pairs hides no Y: its only member there is x, met by
+        (x, j) itself.
+        """
         mode = _check_mode(mode)
         self._check_dims(r)
         xs, js = r.xs, r.js
         _, in_s0 = _find(self._s0_keys, r.keys())
-        kept = self._forth_at((xs, js), mode)
+        counters = [_Counters(self.left, self.right, g, xs, js)
+                    for g in self._groups(mode, own_pairs=True)]
+        kept = np.logical_and.reduce([c.holds(xs, js) for c in counters])
         examples: list[dict] = [
             {"kind": "atom", "left": i, "right": j}
             for i, j in zip(xs[~in_s0][:max_counterexamples].tolist(),
                             js[~in_s0][:max_counterexamples].tolist())]
         room = max(max_counterexamples - len(examples), 0)
         for i, j in zip(xs[~kept][:room].tolist(), js[~kept][:room].tolist()):
-            examples.append(self._first_unmet((xs, js), i, j, mode))
+            found = {"kind": "forth", "left": i, "right": j}
+            ys = [c.unmet(i, j) for c in counters]
+            if mode == "K":  # the groups are (0,), (1,), ...
+                a = next(a for a, y in enumerate(ys) if y is not None)
+                examples.append({**found, "agent": a, "witness": ys[a]})
+            else:
+                examples.append({**found, "witness": min(y for y in ys if y is not None)})
         return VerificationReport(
             atom_ok=bool(in_s0.all()),
             forth_ok=bool(kept.all()),
             total=r.is_total(),
             counterexamples=examples,
         )
-
-    def _first_unmet(self, r_pairs: tuple[np.ndarray, np.ndarray], x: int, j: int,
-                     mode: Mode) -> dict:
-        """The first Forth obligation of (x, j) that the relation with pairs
-        ``r_pairs`` leaves unmet: in K mode by agent a, then by Y in x's
-        a-class; in D mode by Y."""
-        ys, yys = r_pairs
-        bit = 1 << np.arange(self.left.workspace.n_agents)
-        # as bitmasks: the colors each Y shares with x, and each Y' with j
-        need = (self.left.vertex_table == self.left.vertex_table[x]) @ bit
-        have = (self.right.vertex_table == self.right.vertex_table[j]) @ bit
-
-        def met(ok: np.ndarray) -> np.ndarray:
-            """The left facets with a pair for which ``ok`` holds."""
-            out = np.zeros(self.left.n_facets, dtype=bool)
-            out[ys[ok]] = True
-            return out
-
-        found = {"kind": "forth", "left": x, "right": j}
-        if mode == "D":
-            unmet = np.flatnonzero(~met((need[ys] & ~have[yys]) == 0))
-            if len(unmet):
-                return {**found, "witness": int(unmet[0])}
-        else:
-            for a, b in enumerate(bit):
-                unmet = np.flatnonzero(((need & b) != 0) & ~met((have[yys] & b) != 0))
-                if len(unmet):
-                    return {**found, "agent": a, "witness": int(unmet[0])}
-        raise InternalConsistencyError(f"verify found Forth failing at ({x}, {j}), "
-                                       "but every obligation there is met")
 
     def _check_dims(self, r: Relation) -> None:
         want = (self.left.n_facets, self.right.n_facets)

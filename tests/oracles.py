@@ -515,6 +515,18 @@ def conflict_naive(facet_vertices, view_agent_sets, p: int, q: int):
     return layers, frozenset(cur - seed)
 
 
+def location_violations_naive(facet_vertices, blocks, final) -> list[tuple[int, int]]:
+    """The pairs of ``final`` whose two vertices co-occur in a facet listed
+    in ``blocks``, in sorted order, by a dict from each facet's unordered
+    vertex pairs to the facets holding them."""
+    cofacets: dict[frozenset, set[int]] = {}
+    for i, vertices in enumerate(facet_vertices):
+        for x, y in itertools.combinations(vertices, 2):
+            cofacets.setdefault(frozenset((x, y)), set()).add(i)
+    return [(x, y) for x, y in sorted(final)
+            if cofacets.get(frozenset((x, y)), set()) & blocks]
+
+
 # -- the hand-built relation of the two-round case study --------------------
 
 def view_leaves(view) -> frozenset:

@@ -2,10 +2,11 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import oracles
-from delsim.case_is2 import (by_input_candidates, conflict_relation,
+from delsim.case_is2 import (ConflictRelation, by_input_candidates, conflict_relation,
                              conflict_report, everyone_decides_input_of,
                              explicit_sa2_relation, initial_block_facets,
                              location_violations)
@@ -62,6 +63,31 @@ def test_derived_pairs_avoid_initial_blocks(snap_si):
     for p, q in itertools.combinations(range(3), 2):
         rel = conflict_relation(snap_si, p, q)
         assert location_violations(snap_si, rel) == []
+
+
+@pytest.fixture(scope="module", params=[(0, 0, 0), (0, 1, 2)], ids=["000", "012"])
+def snap_by_inputs(request, ws3):
+    return snapshot_run(ws3, 2, request.param)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_location_violations_match_oracle_on_synthetic_relations(snap_by_inputs, seed):
+    """Real conflict relations have no violations, so random relations
+    stand in: half their keys are co-facet vertex pairs, many of them
+    inside the initial blocks."""
+    snap = snap_by_inputs
+    rng = np.random.default_rng(seed)
+    n = len(snap.model.complex.vertices)
+    table = snap.model.vertex_table.astype(np.int64)
+    edges = np.concatenate([table[:, a] * n + table[:, b]
+                            for a, b in itertools.permutations(range(3), 2)])
+    keys = np.unique(np.concatenate([rng.choice(edges, 60), rng.integers(0, n * n, 60)]))
+    rel = ConflictRelation(0, 2, n, keys, rng.integers(0, 3, len(keys)))
+    got = location_violations(snap, rel)
+    blocks = initial_block_facets(snap, 0) | initial_block_facets(snap, 2)
+    fv = [f.vertices for f in snap.model.facets]
+    assert got == oracles.location_violations_naive(fv, blocks, rel.final)
+    assert got
 
 
 def test_initial_block_facets_partition_sensibly(snap_si):

@@ -276,6 +276,67 @@ def test_bad_arguments_are_usage_errors():
     assert run_cli(["gen", "input", "--agents", ""]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "input", "--agents", "2", "--values=--5,1"],
+    ["gen", "is", "--agents", "2", "--rounds", "1", "--inputs=--0,1"],
+    ["gen", "input", "--agents", "2", "--values=\u00b2,1"],
+    ["gen", "input", "--agents", "\u00b2"],
+])
+def test_odd_value_tokens_are_no_internal_error(argv):
+    """Tokens that look numeric to ``str.isdigit`` but are no ASCII int
+    (a doubled sign, a superscript digit) read as strings."""
+    code, err = _run_quietly(argv)
+    assert code in (0, 2), err
+    assert "internal error" not in err
+
+
+def test_value_tokens_are_ascii_ints_or_strings(tmp_path):
+    """Only ASCII ``-?[0-9]+`` reads as an int: an Arabic-Indic three is a
+    string, not the int 3."""
+    out = tmp_path / "m.json"
+    assert run_cli(["gen", "input", "--agents", "2", "--values=\u0663, -3,--5,07",
+                    "-o", str(out)]) == 0
+    assert read(out)["values"] == ["\u0663", -3, "--5", 7]
+
+
+# gen is / gen sa -> update -> obstruct (K, D) -> simulate -> morphism, over
+# string values, whose hashes vary with PYTHONHASHSEED
+PIPELINE = [
+    ["gen", "is", "--agents", "2", "--values", "x,y", "--rounds", "1", "-o", "is.json"],
+    ["gen", "sa", "--agents", "2", "--values", "x,y", "--k", "1", "-o", "sa1.json"],
+    ["gen", "sa", "--agents", "2", "--values", "x,y", "--k", "2", "-o", "sa2.json"],
+    ["update", "--action", "is.json", "-o", "proto.json"],
+    ["update", "--action", "sa1.json", "-o", "task1.json"],
+    ["update", "--action", "sa2.json", "-o", "task2.json"],
+    ["obstruct", "--protocol", "proto.json", "--task", "task1.json", "--mode", "K",
+     "--phi", "k.sexp", "-o", "k.json"],
+    ["obstruct", "--protocol", "proto.json", "--task", "task1.json", "--mode", "D",
+     "--phi", "d.sexp", "-o", "d.json"],
+    ["simulate", "--left", "proto.json", "--right", "task1.json", "--mode", "D",
+     "-o", "sim.json"],
+    ["morphism", "--source", "proto.json", "--target", "task2.json", "-o", "m.json"],
+]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """The pipeline writes the same bytes under two ``PYTHONHASHSEED``
+    values, each run in its own process."""
+    script = ("import json, sys\nfrom delsim.cli import main\n"
+              "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))")
+    outputs = []
+    for seed in ("1", "2"):
+        work = tmp_path / seed
+        work.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "DELSIM_DIR": "",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(PIPELINE)],
+                              cwd=work, env=env, capture_output=True, text=True)
+        assert json.loads(proc.stdout) == [0] * 6 + [1, 1, 0, 0], proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(work.iterdir())})
+    assert len(outputs[0]) == 12
+    assert outputs[0] == outputs[1]
+
+
 def test_env_var_resolves_relative_paths(tmp_path, monkeypatch):
     monkeypatch.setenv("DELSIM_DIR", str(tmp_path))
     assert run_cli(["gen", "input", "--agents", "2", "-o", "m.json"]) == 0

@@ -1,11 +1,13 @@
 """Workspaces, input models, product update, morphisms."""
 
+import hashlib
 import time
 
 import pytest
 
 import oracles
 from delsim.errors import UsageError
+from delsim.generators import agreement_run, snapshot_run
 from delsim.logic import atom, conj, dknow
 from delsim.models import (ActionModel, Morphism, Workspace, find_morphism,
                            graph_of_morphism, input_model, product_update,
@@ -129,6 +131,29 @@ def test_identity_morphism_found():
     f = find_morphism(m, m)
     assert f is not None
     assert f.validate(m, m) == []
+
+
+# sha256 of repr(vmap) for each case: a change to the order in which the
+# search visits candidates shows here
+MORPHISM_SHA256 = {
+    "2x1-sa2": "fa141468422097084231188e0e209debe6c3b0e5946a50dc4298775a6c9fb24d",
+    "2x2-sa2": "edb03d8f9d0f3445a65da5a8e7d4ab374bf417c8ee854f56c82605728754ecac",
+    "3x1-sa3": "f9b4969c7e1f9c2418b700d4209b4261a573b0a4a3c0d9580d7c2c54671ce6a9",
+    "input3": "43f8bb95f4bf3f1f0f7dc0f1f32a3f1d9b6519fda024d63edec2621e50e1ff21",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORPHISM_SHA256))
+def test_find_morphism_vmaps_are_pinned(case, ws2, ws3):
+    ws, rounds, k = {"2x1-sa2": (ws2, 1, 2), "2x2-sa2": (ws2, 2, 2),
+                     "3x1-sa3": (ws3, 1, 3), "input3": (ws3, 0, 0)}[case]
+    if rounds:
+        source, target = snapshot_run(ws, rounds).model, agreement_run(ws, k).model
+    else:
+        source = target = input_model(ws)
+    found = find_morphism(source, target)
+    assert found.validate(source, target) == []
+    assert hashlib.sha256(repr(found.vmap).encode()).hexdigest() == MORPHISM_SHA256[case]
 
 
 def test_morphism_validate_reports_violations(snap1_2, agree2_2):

@@ -2,11 +2,13 @@
 definition-chasing oracles: the face-class index, the simulation chain (also
 on models that repeat a facet), the Forth operator on arbitrary sub-relations
 of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
-counterexamples included), model checking of K and D formulas (also over
+counterexamples included), the counters' unmet obligations after
+subtraction, model checking of K and D formulas (also over
 two models in one table), formula flags against a recursive classifier, the
 duality between characteristic formulas and the chain, morphism search
-against plain enumeration, and the product update with random actions
-against its definition. Also the s-expression round trip over random
+against plain enumeration (and the equal atoms of D-fixpoint pairs that
+its domains rely on), and the product update with random actions against
+its definition. Also the s-expression round trip over random
 formulas, the s-expression reader against a recursive-descent reader on
 mutated texts, the JSON round trips of models and relations, and the JSON
 writer against the standard library's."""
@@ -192,6 +194,31 @@ def test_verify_counterexamples_are_first_unmet_obligations(pair, data):
         assert eng.verify(r, mode, max_counterexamples=2 * r.count).counterexamples \
             == want
         assert eng.verify(r, mode).counterexamples == want[:10]
+
+
+@SETTINGS
+@given(model_pairs(repeats=True), st.data())
+def test_unmet_obligations_after_subtraction(pair, data):
+    """``_Counters.unmet`` on counters built over S_0 and then subtracted
+    down to a sub-relation (as the chain does) names the first Y of x's
+    S-class with no pair into j's S-class: a cell counted down to zero is
+    no cell."""
+    left, right = pair
+    s0 = SimulationEngine(left, right).initial_relation()
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=s0.count, max_size=s0.count)),
+                    dtype=bool)
+    kept = set(zip(s0.xs[keep].tolist(), s0.js[keep].tolist()))
+    n = left.workspace.n_agents
+    for group in (g for k in range(n + 1) for g in itertools.combinations(range(n), k)):
+        counters = simulation._Counters(left, right, group, s0.xs.astype(np.intp), s0.js)
+        counters.remove(s0.xs[~keep].astype(np.intp), s0.js[~keep])
+        for x, j in itertools.product(range(left.n_facets), range(right.n_facets)):
+            want = next((y for y in range(left.n_facets)
+                         if set(group) <= oracles.shared_colors(left, x, y)
+                         and not any((y, yy) in kept
+                                     and set(group) <= oracles.shared_colors(right, j, yy)
+                                     for yy in range(right.n_facets))), None)
+            assert counters.unmet(x, j) == want, (group, x, j)
 
 
 @SETTINGS
@@ -394,6 +421,23 @@ def test_find_morphism_matches_enumeration(pair):
     assert (found is not None) == exists
     if found is not None:
         assert found.validate(source, target) == []
+
+
+@SETTINGS
+@given(model_pairs(repeats=True))
+def test_d_fixpoint_pairs_carry_equal_atoms_colour_by_colour(pair):
+    """Every pair of the D fixpoint maps each colour's vertex to one with
+    the same atoms, so a morphism search inside the fixpoint needs no
+    vertex filter by colour and atoms."""
+    left, right = pair
+    fixpoint = SimulationEngine(left, right).chain("D").fixpoint
+
+    def atoms_by_colour(model, i):
+        cx = model.complex
+        return {cx.vertices[v].color: cx.vertices[v].atoms for v in cx.facets[i].vertices}
+
+    for x, j in fixpoint.pairs():
+        assert atoms_by_colour(left, x) == atoms_by_colour(right, j)
 
 
 @SETTINGS
