@@ -162,10 +162,7 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
     for a, b in itertools.permutations(range(3), 2):
         edge = table[:, a] * n_vertices + table[:, b]
         for (p, q), rel in conflicts.items():
-            final = rel.final_keys
-            if not len(final):
-                continue
-            in_final = final[np.minimum(np.searchsorted(final, edge), len(final) - 1)] == edge
+            in_final = _find(rel.final_keys, edge)[1]
             ok &= ~(in_final[xs] & distinct & (decide[:, a] == inputs[:, p])
                     & (decide[:, b] == inputs[:, q]))
     return Relation.from_pairs(base.dims, np.stack([xs[ok], js[ok]], axis=1))

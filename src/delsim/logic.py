@@ -2,6 +2,10 @@
 
 Formulas are hash-consed into a global DAG: building the same subformula twice
 yields the same node, so equality is identity and shared structure is free.
+A node is interned on its kind, its payload and its tuple of child nodes,
+which are interned already, so every table and DAG walk keys on the node
+itself. Agents are exactly ``int`` and atom values exactly ``int`` or
+``str``, so payloads that compare equal are spelled alike.
 The language is atoms ip_a^v, negation, finite conjunction/disjunction,
 individual knowledge ``K a``, and distributed knowledge ``D A`` for an agent
 set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
@@ -16,6 +20,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from collections import Counter
 from typing import Iterable
 
 import numpy as np
@@ -45,13 +50,12 @@ _NON_POSITIVE, _HAS_OR, _HAS_D, _HAS_WIDE_D = 1, 2, 4, 8
 class Formula:
     """One interned node. Do not instantiate directly; use the factories."""
 
-    __slots__ = ("kind", "payload", "children", "uid", "degree", "flags")
+    __slots__ = ("kind", "payload", "children", "degree", "flags")
 
-    def __init__(self, kind, payload, children, uid):
+    def __init__(self, kind, payload, children):
         self.kind = kind
         self.payload = payload
         self.children = children
-        self.uid = uid
         if kind == OR:
             flags = _HAS_OR
         elif kind == D:
@@ -83,17 +87,22 @@ _INTERNED: dict[tuple, Formula] = {}
 
 
 def _intern(kind, payload, children: tuple) -> Formula:
-    key = (kind, payload, tuple([c.uid for c in children]))
+    key = (kind, payload, children)
     node = _INTERNED.get(key)
     if node is None:
-        node = Formula(kind, payload, children, uid=len(_INTERNED))
-        _INTERNED[key] = node
+        node = _INTERNED[key] = Formula(kind, payload, children)
     return node
 
 
+def _check_agent(a, kind: str) -> None:
+    if type(a) is not int or a < 0:
+        raise UsageError(f"{kind} agent must be a nonnegative int, got {a!r}")
+
+
 def atom(agent: int, value) -> Formula:
-    if not isinstance(agent, int) or agent < 0:
-        raise UsageError(f"atom agent must be a nonnegative int, got {agent!r}")
+    _check_agent(agent, ATOM)
+    if type(value) is not int and type(value) is not str:
+        raise UsageError(f"values must be int or str, got {value!r}")
     return _intern(ATOM, (agent, value), ())
 
 
@@ -102,18 +111,16 @@ def neg(f: Formula) -> Formula:
 
 
 def _junction(kind, parts: Iterable[Formula]) -> Formula:
-    seen, uniq = set(), []
+    parts = tuple(parts)
     for p in parts:
-        if not isinstance(p, Formula):
+        if type(p) is not Formula:
             raise UsageError(f"{kind} expects formulas, got {p!r}")
-        if p.uid not in seen:
-            seen.add(p.uid)
-            uniq.append(p)
+    uniq = tuple(dict.fromkeys(parts))
     if not uniq:
         raise UsageError(f"empty {kind} is not a formula")
     if len(uniq) == 1:
         return uniq[0]
-    return _intern(kind, None, tuple(uniq))
+    return _intern(kind, None, uniq)
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
@@ -125,16 +132,14 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 def know(agent: int, f: Formula) -> Formula:
-    if not isinstance(agent, int) or agent < 0:
-        raise UsageError(f"K agent must be a nonnegative int, got {agent!r}")
+    _check_agent(agent, K)
     return _intern(K, agent, (f,))
 
 
 def dknow(agents: Iterable[int], f: Formula) -> Formula:
     group = frozenset(agents)
     for a in group:
-        if not isinstance(a, int) or a < 0:
-            raise UsageError(f"D agent must be a nonnegative int, got {a!r}")
+        _check_agent(a, D)
     return _intern(D, group, (f,))
 
 
@@ -159,28 +164,27 @@ def dag_size(f: Formula) -> int:
 def tree_size(f: Formula) -> int:
     """Node count of the fully expanded tree (can be exponentially larger
     than the DAG; exact big-int arithmetic)."""
-    sizes: dict[int, int] = {}
-    order = _postorder(f)
-    for node in order:
-        sizes[node.uid] = 1 + sum(sizes[c.uid] for c in node.children)
-    return sizes[f.uid]
+    sizes: dict[Formula, int] = {}
+    for node in _postorder(f):
+        sizes[node] = 1 + sum(sizes[c] for c in node.children)
+    return sizes[f]
 
 
 def _postorder(f: Formula) -> list[Formula]:
     out: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack: list[tuple[Formula, bool]] = [(f, False)]
     while stack:
         node, expanded = stack.pop()
-        if node.uid in seen:
+        if node in seen:
             continue
         if expanded:
-            seen.add(node.uid)
+            seen.add(node)
             out.append(node)
         else:
             stack.append((node, True))
             for c in node.children:
-                if c.uid not in seen:
+                if c not in seen:
                     stack.append((c, False))
     return out
 
@@ -210,17 +214,17 @@ class ModelTable:
         if any(m.workspace != self.workspace for m in models):
             raise UsageError("models use different workspaces")
         self.n_facets = sum(m.n_facets for m in models)
-        self._vals: dict[int, np.ndarray] = {}
+        self._vals: dict[Formula, np.ndarray] = {}
         self._classes: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
 
     def satisfies(self, f: Formula) -> np.ndarray:
         """Read-only boolean vector: entry i <=> formula holds at facet i."""
         for node in _postorder(f):
-            if node.uid not in self._vals:
+            if node not in self._vals:
                 vec = self._compute(node)
                 vec.setflags(write=False)
-                self._vals[node.uid] = vec
-        return self._vals[f.uid]
+                self._vals[node] = vec
+        return self._vals[f]
 
     def check(self, facet: int, f: Formula) -> bool:
         if not 0 <= facet < self.n_facets:
@@ -237,12 +241,12 @@ class ModelTable:
             return np.array([node.payload in lab for m in self.models
                              for lab in m.facet_labels], dtype=bool)
         if kind == NOT:
-            return ~self._vals[node.children[0].uid]
+            return ~self._vals[node.children[0]]
         if kind == AND or kind == OR:
             op = np.logical_and if kind == AND else np.logical_or
-            vecs = [self._vals[c.uid] for c in node.children]
+            vecs = [self._vals[c] for c in node.children]
             return op(*vecs) if len(vecs) == 2 else op.reduce(vecs)
-        child = self._vals[node.children[0].uid]
+        child = self._vals[node.children[0]]
         group = (node.payload,) if kind == K else tuple(sorted(node.payload))
         found = self._classes.get(group)
         if found is None:
@@ -284,24 +288,21 @@ def to_sexp(f: Formula, share: bool = True) -> str:
                 f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
         return _write(f, {})
     order = _postorder(f)
-    refs: dict[int, int] = {}
-    for node in order:
-        for c in node.children:
-            refs[c.uid] = refs.get(c.uid, 0) + 1
-    names: dict[int, str] = {}
+    refs = Counter(c for node in order for c in node.children)
+    names: dict[Formula, str] = {}
     bindings: list[str] = []
     for node in order:
-        if node.uid != f.uid and refs.get(node.uid, 0) >= 2 and node.kind != ATOM:
+        if node is not f and refs[node] >= 2 and node.kind != ATOM:
             body = _write(node, names)
-            names[node.uid] = f"x{len(names)}"
-            bindings.append(f"({names[node.uid]} {body})")
+            names[node] = f"x{len(names)}"
+            bindings.append(f"({names[node]} {body})")
     body = _write(f, names)
     if not bindings:
         return body
     return f"(let ({' '.join(bindings)}) {body})"
 
 
-def _write(f: Formula, names: dict[int, str]) -> str:
+def _write(f: Formula, names: dict[Formula, str]) -> str:
     # An explicit stack of nodes still to write and text to emit after them,
     # so nesting depth is not bounded by the interpreter's recursion limit.
     out: list[str] = []
@@ -311,13 +312,13 @@ def _write(f: Formula, names: dict[int, str]) -> str:
         if type(item) is str:
             out.append(item)
             continue
-        name = names.get(item.uid)
+        name = names.get(item)
         if name is not None:
             out.append(name)
             continue
         if item.kind == ATOM:
             a, v = item.payload
-            out.append(f"(atom {a} {_value_token(v)})")
+            out.append(f"(atom {a} {json.dumps(v)})")
             continue
         if item.kind == K:
             out.append(f"(K {item.payload} ")
@@ -332,12 +333,6 @@ def _write(f: Formula, names: dict[int, str]) -> str:
             stack.append(" ")
         stack.append(item.children[0])
     return "".join(out)
-
-
-def _value_token(v) -> str:
-    if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise UsageError(f"values must be int or str, got {v!r}")
-    return json.dumps(v)
 
 
 # A parenthesis, a string with backslash escapes, a bare token, or the

@@ -42,7 +42,7 @@ class Workspace:
         if not self.values or len(set(self.values)) != len(self.values):
             raise UsageError("values must be nonempty and distinct")
         for v in self.values:
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
+            if type(v) is not int and type(v) is not str:
                 raise UsageError(f"values must be int or str, got {v!r}")
 
     @property

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InternalConsistencyError, UsageError
 from .logic import (Formula, FormulaClass, ModelTable, atom, classify, disj,
                     dknow, know, neg)
-from .simulation import Mode, SimulationEngine, totality_witnesses
+from .simulation import Mode, SimulationEngine, _check_mode, totality_witnesses
 
 
 def characteristic_formulas(model, mode: Mode, n: int) -> list[list[Formula]]:
@@ -57,8 +57,7 @@ def _levels(model, mode: Mode, n: int, top) -> list[dict[int, Formula]]:
     """Formulas of depth 0..n over the backward cone of the facets ``top``:
     entry [k] maps each cone facet at depth k, in ascending order, to its
     depth-k formula."""
-    if mode not in ("K", "D"):
-        raise UsageError(f"mode must be 'K' or 'D', got {mode!r}")
+    _check_mode(mode)
     if n < 0:
         raise UsageError("formula depth must be >= 0")
     ws = model.workspace

@@ -55,6 +55,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+from .complexes import intern_ids
 from .errors import InternalConsistencyError, UsageError
 
 Mode = Literal["K", "D"]
@@ -365,10 +366,8 @@ class SimulationEngine:
         self.left = left
         self.right = right
         label_ids: dict[frozenset, int] = {}
-        left_ids, right_ids = (
-            np.array([label_ids.setdefault(lab, len(label_ids))
-                      for lab in m.facet_labels], dtype=np.intp)
-            for m in (left, right))
+        left_ids, right_ids = (np.array(intern_ids(m.facet_labels, label_ids), dtype=np.intp)
+                               for m in (left, right))
         # S_0: each left facet against the right facets of its label, in order
         per_label = np.bincount(right_ids, minlength=len(label_ids))
         xs, k = _ranges(per_label[left_ids])
@@ -495,6 +494,8 @@ class SimulationEngine:
         (x, j) itself.
         """
         mode = _check_mode(mode)
+        if max_counterexamples < 0:
+            raise UsageError(f"max_counterexamples must be >= 0, got {max_counterexamples}")
         self._check_dims(r)
         xs, js = r.xs, r.js
         _, in_s0 = _find(self._s0_keys, r.keys())
@@ -505,7 +506,7 @@ class SimulationEngine:
             {"kind": "atom", "left": i, "right": j}
             for i, j in zip(xs[~in_s0][:max_counterexamples].tolist(),
                             js[~in_s0][:max_counterexamples].tolist())]
-        room = max(max_counterexamples - len(examples), 0)
+        room = max_counterexamples - len(examples)
         for i, j in zip(xs[~kept][:room].tolist(), js[~kept][:room].tolist()):
             found = {"kind": "forth", "left": i, "right": j}
             ys = [c.unmet(i, j) for c in counters]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -9,6 +11,14 @@ settings.register_profile("ci-deep", max_examples=400)
 from delsim.generators import (agreement_run, knowall_run, snapshot_run,
                                staircase_setup, DiGraph)
 from delsim.models import standard_workspace
+
+
+def python(*args: str) -> list[str]:
+    """A command line running this interpreter on ``args`` with the parent's
+    ``-X dev`` and ``-W`` options, so a run with warnings as errors holds
+    its subprocesses to the same rule."""
+    return [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []),
+            *(opt for w in sys.warnoptions for opt in ("-W", w)), *args]
 
 
 @pytest.fixture(scope="session")

@@ -166,10 +166,10 @@ def snapshot_action_naive(workspace, rounds: int, inputs=None) -> dict:
 def eval_naive(model, facet: int, f) -> bool:
     """Tree-walk satisfaction with an explicit (node, facet) memo."""
     n = model.n_facets
-    memo: dict[tuple[int, int], bool] = {}
+    memo: dict[tuple, bool] = {}
 
     def go(x: int, node) -> bool:
-        key = (node.uid, x)
+        key = (node, x)
         if key in memo:
             return memo[key]
         if node.kind == "atom":

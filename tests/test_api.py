@@ -2,9 +2,9 @@
 exports, and what the pipeline imports."""
 
 import subprocess
-import sys
 
 import delsim
+from conftest import python
 
 
 def test_all_names_resolve():
@@ -47,6 +47,6 @@ print("numpy.ma" in sys.modules)
 def test_pipeline_never_imports_numpy_ma():
     """Importing ``numpy.ma`` adds about 1.3 MB of RSS; the first
     option-less ``np.unique`` or ``np.isin`` does it."""
-    proc = subprocess.run([sys.executable, "-c", PIPELINE], capture_output=True,
+    proc = subprocess.run(python("-c", PIPELINE), capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"

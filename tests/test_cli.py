@@ -11,6 +11,8 @@ import tempfile
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import python
+
 from delsim import cli, serialize
 from delsim.cli import main
 from delsim.logic import atom, from_sexp, know, to_sexp
@@ -329,7 +331,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         work.mkdir()
         env = {**os.environ, "PYTHONHASHSEED": seed, "DELSIM_DIR": "",
                "PYTHONPATH": os.pathsep.join(sys.path)}
-        proc = subprocess.run([sys.executable, "-c", script, json.dumps(PIPELINE)],
+        proc = subprocess.run(python("-c", script, json.dumps(PIPELINE)),
                               cwd=work, env=env, capture_output=True, text=True)
         assert json.loads(proc.stdout) == [0] * 6 + [1, 1, 0, 0], proc.stderr
         outputs.append({f.name: f.read_bytes() for f in sorted(work.iterdir())})
@@ -356,8 +358,7 @@ def test_stdin_stdout_pipeline(consensus_files, capsys, monkeypatch):
 
 
 def test_console_script_runs():
-    proc = subprocess.run([sys.executable, "-m", "delsim", "gen", "input",
-                           "--agents", "2"], capture_output=True, text=True)
+    proc = subprocess.run(python("-m", "delsim", "gen", "input", "--agents", "2"), capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["format"] == "delsim-model/1"
 

@@ -245,3 +245,42 @@ def test_sexp_round_trips_deep_nesting(share):
     for _ in range(5000):
         f = know(0, f)
     assert from_sexp(to_sexp(f, share=share)) is f
+
+
+# Payloads are interned by equality, and True == 1 == 1.0: each spelling
+# below, if accepted, would stand for the int one in the whole process.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: atom(True, 0), "atom agent must be a nonnegative int, got True",
+                 id="atom-agent"),
+    pytest.param(lambda: know(True, atom(0, 0)), "K agent must be a nonnegative int, got True",
+                 id="K-agent"),
+    pytest.param(lambda: dknow([0, True], atom(0, 0)),
+                 "D agent must be a nonnegative int, got True", id="D-agent"),
+    pytest.param(lambda: atom(0, True), "values must be int or str, got True", id="bool-value"),
+    pytest.param(lambda: atom(0, 1.0), "values must be int or str, got 1.0", id="float-value"),
+    pytest.param(lambda: atom(0, None), "values must be int or str, got None", id="none-value"),
+])
+def test_builders_reject_bool_and_float_spellings(build, message):
+    with pytest.raises(UsageError, match=re.escape(message)):
+        build()
+
+
+def test_bool_agent_does_not_alias_the_int_agent():
+    p = atom(0, "K spelled True")
+    with pytest.raises(UsageError):
+        know(True, p)
+    text = to_sexp(know(1, p))
+    assert text == '(K 1 (atom 0 "K spelled True"))'
+    assert from_sexp(text) is know(1, p)
+
+
+def test_bool_value_does_not_alias_the_int_value():
+    with pytest.raises(UsageError):
+        atom(9, True)
+    assert to_sexp(atom(9, 1)) == "(atom 9 1)"
+
+
+def test_float_value_is_not_checked_as_the_int_value():
+    m = input_model(standard_workspace(2, (0, 1)))
+    with pytest.raises(UsageError):
+        ModelTable(m).satisfies(atom(0, 1.0))

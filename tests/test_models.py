@@ -1,5 +1,6 @@
 """Workspaces, input models, product update, morphisms."""
 
+import enum
 import hashlib
 import time
 
@@ -24,6 +25,17 @@ def test_workspace_validation():
         Workspace(("p0",), ())
     with pytest.raises(UsageError):
         Workspace(("p0",), (0, 0))
+
+
+def test_workspace_values_are_exactly_int_or_str():
+    """An int or str subclass would intern atoms equal to, and so aliased
+    with, the plain value's."""
+    class Value(enum.IntEnum):
+        ZERO = 0
+
+    for bad in (True, Value.ZERO, 1.0):
+        with pytest.raises(UsageError, match="values must be int or str"):
+            Workspace(("p0",), (bad, "x"))
 
 
 def test_standard_workspace_defaults():

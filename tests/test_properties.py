@@ -10,8 +10,9 @@ against plain enumeration (and the equal atoms of D-fixpoint pairs that
 its domains rely on), and the product update with random actions against
 its definition. Also the s-expression round trip over random
 formulas, the s-expression reader against a recursive-descent reader on
-mutated texts, the JSON round trips of models and relations, and the JSON
-writer against the standard library's."""
+mutated texts, formulas that mix int and str atom values (distinct nodes,
+one text whatever the build order), the JSON round trips of models and
+relations, and the JSON writer against the standard library's."""
 
 import itertools
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from delsim import serialize, simulation
+from delsim import logic, serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
 from delsim.logic import (Formula, ModelTable, _tokenize, atom, classify, conj, disj,
                           dknow, from_sexp, know, neg, to_sexp)
@@ -333,6 +334,43 @@ SEXP_VALUES = (st.text(alphabet='"\\() \n\tab', max_size=6)
 def test_sexp_round_trip(phi):
     for share in (True, False):
         assert from_sexp(to_sexp(phi, share=share)) is phi
+
+
+def rebuild(phi: Formula, reverse: bool) -> Formula:
+    """φ built again through the builders, atoms first, each node's children
+    (and a D node's group) in reverse order when ``reverse``."""
+    built: dict[Formula, Formula] = {}
+
+    def go(node):
+        if node not in built:
+            for c in (node.children[::-1] if reverse else node.children):
+                go(c)
+            kids = [built[c] for c in node.children]
+            kind, payload = node.kind, node.payload
+            built[node] = (
+                atom(*payload) if kind == "atom" else neg(kids[0]) if kind == "not"
+                else conj(kids) if kind == "and" else disj(kids) if kind == "or"
+                else know(payload, kids[0]) if kind == "K"
+                else dknow(sorted(payload, reverse=reverse), kids[0]))
+        return built[node]
+    return go(phi)
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(lambda n: formulas(n, st.sampled_from((0, 1, "0", "1")))))
+def test_int_and_str_values_stay_apart(phi):
+    """Atom values 1 and "1" are two nodes, the text reads back as φ, and φ
+    built in either order, in a fresh intern table, has φ's text."""
+    for share in (True, False):
+        assert from_sexp(to_sexp(phi, share=share)) is phi
+    texts = set()
+    for first in (False, True):
+        with mock.patch.object(logic, "_INTERNED", {}):
+            assert atom(0, 1) is not atom(0, "1")
+            built = rebuild(phi, reverse=first)
+            assert rebuild(phi, reverse=not first) is built
+            texts.add(to_sexp(built))
+    assert texts == {to_sexp(phi)}
 
 
 # tokens a mutation may insert: each form's head, both brackets, a number,

@@ -192,6 +192,15 @@ def test_verify_reports_counterexamples(snap1_2, agree1_2):
     assert not eng.verify(s0, "K", max_counterexamples=1).forth_ok
 
 
+@pytest.mark.parametrize("limit", [-1, -3])
+def test_verify_rejects_a_negative_counterexample_limit(snap1_2, agree1_2, limit):
+    eng = SimulationEngine(snap1_2.model, agree1_2.model)
+    full = Relation(np.ones((snap1_2.model.n_facets, agree1_2.model.n_facets), dtype=bool))
+    with pytest.raises(UsageError, match="max_counterexamples must be >= 0"):
+        eng.verify(full, "K", max_counterexamples=limit)
+    assert eng.verify(full, "K", max_counterexamples=0).counterexamples == []
+
+
 def test_verify_flags_label_mismatches(snap1_2, agree1_2):
     nl, nr = snap1_2.model.n_facets, agree1_2.model.n_facets
     full = Relation(np.ones((nl, nr), dtype=bool))
