@@ -10,9 +10,11 @@ The language is atoms ip_a^v, negation, finite conjunction/disjunction,
 individual knowledge ``K a``, and distributed knowledge ``D A`` for an agent
 set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 
-`ModelTable` is the model checker: it evaluates every DAG node as a boolean
-vector over all facets of a model (or of several side by side), which is both
-the memoization the DAG needs and the natural shape for obstruction checks.
+`ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
+boolean vectors over all facets of a model (or of several side by side), one
+vector per node, and frees each subformula's vector once its last parent is
+computed. It keeps the vectors of the formulas it was asked about, so memory
+follows the DAG's width, not its size.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import enum
 import json
 import re
 from collections import Counter
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -137,10 +141,12 @@ def know(agent: int, f: Formula) -> Formula:
 
 
 def dknow(agents: Iterable[int], f: Formula) -> Formula:
-    group = frozenset(agents)
-    for a in group:
+    # Check the agents as given: a set would merge True into 1 first.
+    if type(agents) is not frozenset:
+        agents = tuple(agents)
+    for a in agents:
         _check_agent(a, D)
-    return _intern(D, group, (f,))
+    return _intern(D, frozenset(agents), (f,))
 
 
 def classify(f: Formula) -> FormulaClass:
@@ -170,7 +176,9 @@ def tree_size(f: Formula) -> int:
     return sizes[f]
 
 
-def _postorder(f: Formula) -> list[Formula]:
+def _postorder(f: Formula, held=()) -> list[Formula]:
+    """Every node under ``f`` after its children, depth first. Nodes in
+    ``held`` (other than ``f``) are neither entered nor listed."""
     out: list[Formula] = []
     seen: set[Formula] = set()
     stack: list[tuple[Formula, bool]] = [(f, False)]
@@ -184,7 +192,7 @@ def _postorder(f: Formula) -> list[Formula]:
         else:
             stack.append((node, True))
             for c in node.children:
-                if c not in seen:
+                if c not in seen and c not in held:
                     stack.append((c, False))
     return out
 
@@ -196,9 +204,13 @@ class ModelTable:
     """Truth tables for formulas over one model, or over the disjoint union
     of several models of one workspace.
 
-    For each DAG node the table holds a read-only boolean vector indexed by
-    facet, the models' facets in order, so repeated queries (and every modal
-    step) reuse earlier work. ``D A phi`` holds at X iff phi holds at every
+    ``satisfies(f)`` returns a read-only boolean vector indexed by facet,
+    the models' facets in order. The table keeps the vector of each formula
+    it was asked about, and a later query returns that same array or reads
+    it as a leaf. Other subformulas' vectors live only while a query runs:
+    each is freed once its last parent in the postorder is computed, so a
+    query holds the DAG's widest cut of vectors, not one per node. A query
+    that raises keeps nothing. ``D A phi`` holds at X iff phi holds at every
     facet of X's model sharing X's A-face (every facet of X's model when A is
     empty), and ``K a phi`` is ``D {a} phi``. Each group's face classes are
     read once per table; a modal step then marks the classes where phi fails
@@ -219,19 +231,37 @@ class ModelTable:
 
     def satisfies(self, f: Formula) -> np.ndarray:
         """Read-only boolean vector: entry i <=> formula holds at facet i."""
-        for node in _postorder(f):
-            if node not in self._vals:
-                vec = self._compute(node)
-                vec.setflags(write=False)
-                self._vals[node] = vec
-        return self._vals[f]
+        vals = self._vals
+        vec = vals.get(f)
+        if vec is not None:
+            return vec
+        order = _postorder(f, vals)
+        kids = list(map(attrgetter("children"), order))
+        # each child's last use: the position of its last parent in ``order``
+        last = dict(zip(chain.from_iterable(kids),
+                        chain.from_iterable(map(repeat, range(len(order)),
+                                                map(len, kids)))))
+        # children in order of last use, and those positions (-1 ends them)
+        dying = sorted(last, key=last.__getitem__)
+        ends = sorted(last.values())
+        ends.append(-1)
+        live = {c: vals[c] for c in last.keys() & vals.keys()}
+        j = 0
+        for i, node in enumerate(order):
+            live[node] = self._compute(node, live)
+            while ends[j] == i:
+                del live[dying[j]]
+                j += 1
+        vec = vals[f] = live[f]
+        vec.setflags(write=False)
+        return vec
 
     def check(self, facet: int, f: Formula) -> bool:
         if not 0 <= facet < self.n_facets:
             raise UsageError(f"facet index {facet} out of range")
         return bool(self.satisfies(f)[facet])
 
-    def _compute(self, node: Formula) -> np.ndarray:
+    def _compute(self, node: Formula, live: dict) -> np.ndarray:
         kind = node.kind
         if kind == ATOM:
             a, v = node.payload
@@ -241,12 +271,12 @@ class ModelTable:
             return np.array([node.payload in lab for m in self.models
                              for lab in m.facet_labels], dtype=bool)
         if kind == NOT:
-            return ~self._vals[node.children[0]]
+            return ~live[node.children[0]]
         if kind == AND or kind == OR:
             op = np.logical_and if kind == AND else np.logical_or
-            vecs = [self._vals[c] for c in node.children]
+            vecs = [live[c] for c in node.children]
             return op(*vecs) if len(vecs) == 2 else op.reduce(vecs)
-        child = self._vals[node.children[0]]
+        child = live[node.children[0]]
         group = (node.payload,) if kind == K else tuple(sorted(node.payload))
         found = self._classes.get(group)
         if found is None:

@@ -265,6 +265,21 @@ def test_builders_reject_bool_and_float_spellings(build, message):
         build()
 
 
+@pytest.mark.parametrize("agents", [[1, True], [True, 1], (a for a in (1, True))],
+                         ids=["int-first", "bool-first", "generator"])
+def test_dknow_checks_every_agent_before_merging_them(agents):
+    """``True == 1``, so a set built first would keep whichever came first;
+    the bool is refused in any position."""
+    with pytest.raises(UsageError, match="D agent must be a nonnegative int, got True"):
+        dknow(agents, atom(0, 0))
+
+
+def test_dknow_keeps_a_given_frozenset():
+    group, p = frozenset({0, 1}), atom(0, "a group given as a frozenset")
+    assert dknow(group, p).payload is group
+    assert dknow(iter([1, 0, 1]), p) is dknow(group, p)
+
+
 def test_bool_agent_does_not_alias_the_int_agent():
     p = atom(0, "K spelled True")
     with pytest.raises(UsageError):

@@ -1,12 +1,15 @@
 """Characteristic formulas, simulation duality, obstruction decisions."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 
 import oracles
 from delsim.errors import UsageError
-from delsim.logic import FormulaClass, ModelTable, atom, classify, neg, to_sexp
+from delsim.generators import staircase_setup
+from delsim.logic import (FormulaClass, ModelTable, atom, classify, dag_size, neg,
+                          to_sexp)
 from delsim.models import find_morphism, input_model, standard_workspace
 from delsim.obstruction import (characteristic_formula, characteristic_formulas,
                                 decide_obstruction, verify_obstruction)
@@ -127,6 +130,35 @@ def test_obstruction_sexp_text_is_pinned(case, mode, snap1_2, agree1_2, stair):
                       else (stair.protocol_run.model, stair.task_run.model))
     phi = decide_obstruction(protocol, task, mode).phi
     assert hashlib.sha256(to_sexp(phi).encode()).hexdigest() == PINNED_SEXP[case, mode]
+
+
+@pytest.fixture(scope="module")
+def stair256():
+    return staircase_setup(256)
+
+
+@pytest.mark.parametrize("mode", ["K", "D"])
+def test_model_check_memory_follows_the_dag_width(stair256, mode):
+    """Checking staircase N=256's obstruction on the task model holds well
+    under half of one byte per DAG node and facet: a subformula's vector is
+    freed once its last parent is computed. The formula is a long thin chain
+    of modal steps, so a table that kept every node's vector would need
+    about dag_size x n_facets bytes."""
+    task = stair256.task_run.model
+    phi = decide_obstruction(stair256.protocol_run.model, task, mode).phi
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        vec = ModelTable(task).satisfies(phi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert vec.all()
+    assert peak < dag_size(phi) * task.n_facets / 2, (peak, dag_size(phi))
 
 
 def test_verify_obstruction_rejects_non_positive(snap1_2, agree1_2):

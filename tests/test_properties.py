@@ -4,11 +4,12 @@ on models that repeat a facet), the Forth operator on arbitrary sub-relations
 of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
 counterexamples included), the counters' unmet obligations after
 subtraction, model checking of K and D formulas (also over
-two models in one table), formula flags against a recursive classifier, the
-duality between characteristic formulas and the chain, morphism search
-against plain enumeration (and the equal atoms of D-fixpoint pairs that
-its domains rely on), and the product update with random actions against
-its definition. Also the s-expression round trip over random
+two models in one table, and one table asked about subformulas before and
+after their superformula with failing queries in between), formula flags
+against a recursive classifier, the duality between characteristic
+formulas and the chain, morphism search against plain enumeration (and the
+equal atoms of D-fixpoint pairs that its domains rely on), and the product
+update with random actions against its definition. Also the s-expression round trip over random
 formulas, the s-expression reader against a recursive-descent reader on
 mutated texts, formulas that mix int and str atom values (distinct nodes,
 one text whatever the build order), the JSON round trips of models and
@@ -261,6 +262,39 @@ def test_model_table_over_two_models_matches_oracle(pair, data):
             assert not got.flags.writeable
             assert got.tolist() == want
             assert alone.satisfies(psi).tolist() == want[left.n_facets:]
+
+
+@SETTINGS
+@given(st.data())
+def test_one_table_answers_mixed_queries(data):
+    """One table asked about subformulas before and after their
+    superformula, with queries in between that fail on an atom outside the
+    workspace after some of their work is done. Every answer matches the
+    oracle and is read-only, a repeated query returns the same array, and
+    the table keeps exactly the formulas it answered."""
+    n = data.draw(N_AGENTS)
+    model = data.draw(models(n))
+    phi = data.draw(formulas(n))
+    subs = st.sampled_from(logic._postorder(phi))
+    outside = atom(0, 2)  # the workspace's values are 0 and 1
+    queries = data.draw(st.lists(subs, max_size=4)) + [phi] + \
+        data.draw(st.lists(subs, max_size=4))
+    for i in sorted(data.draw(st.lists(st.integers(0, len(queries)), max_size=3)),
+                    reverse=True):
+        queries.insert(i, None)
+    table = ModelTable(model)
+    answers: dict[Formula, np.ndarray] = {}
+    for psi in queries:
+        if psi is None:
+            with pytest.raises(UsageError, match="outside workspace"):
+                table.satisfies(conj([outside, know(0, data.draw(subs))]))
+            continue
+        got = table.satisfies(psi)
+        assert not got.flags.writeable
+        assert got is answers.setdefault(psi, got)
+        assert got.tolist() == [oracles.eval_naive(model, x, psi)
+                                for x in range(model.n_facets)]
+    assert table._vals.keys() == answers.keys()
 
 
 @SETTINGS
