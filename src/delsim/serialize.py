@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import IO, Any
+from operator import itemgetter
+from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -31,10 +32,16 @@ def dumps(payload: dict) -> str:
     """``json.dumps(payload, sort_keys=True, indent=1) + "\\n"``, written
     without the standard library's pure-Python indenting encoder.
 
-    Lists of ints and lists of int lists (facets, atoms) are written by one
-    join or one ``%`` format each, and so is a 2-D int array (relation
-    pairs), as its list of rows; any other scalar or shape that
-    :func:`_write` does not handle goes to ``json.dumps`` itself.
+    A nonempty list is written by one join when it holds only ints, and by
+    one ``%`` format when its items are all int rows (facets, relation
+    pairs; ragged allowed) or all records (vertices, provenance): dicts of
+    one key tuple of strs, each key's values all ints and strs or all
+    lists of ``[int, int or str]`` pairs. The format's template is made
+    from one template per distinct row shape, or per key and distinct value
+    shape; strs are encoded and passed as arguments, never put into a
+    template. A 2-D int array is written as its list of rows. Bools, int
+    subclasses, floats and any other shape go through :func:`_write` item
+    by item, down to ``json.dumps`` itself.
     """
     out: list[str] = []
     _write(payload, "\n", out)
@@ -45,6 +52,8 @@ def dumps(payload: dict) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 # the types json writes as arrays
 _SEQUENCES = frozenset({list, tuple})
+# the ``%`` conversion that writes each scalar type in a template
+_CONVERSION = {int: "d", str: "s"}
 
 
 def _write(o, nl: str, out: list[str]) -> None:
@@ -54,12 +63,12 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(_encode_str(o))
     elif type(o) is int:
         out.append(int.__repr__(o))
-    elif type(o) in (list, tuple) and o:
-        inner = nl + " "
-        text = _int_lists(o, nl)
+    elif type(o) in _SEQUENCES and o:
+        text = _list_text(o, nl)
         if text is not None:
             out.append(text)
             return
+        inner = nl + " "
         sep = "[" + inner
         for item in o:
             out.append(sep)
@@ -67,7 +76,7 @@ def _write(o, nl: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(nl + "]")
     elif type(o) is np.ndarray and o.ndim == 2 and o.dtype.kind in "iu":
-        out.append(_rows(o.ravel().tolist(), [o.shape[1]] * len(o), nl) if len(o) else "[]")
+        out.append(_fill(["d" * o.shape[1]] * len(o), o.ravel().tolist(), _row_template, nl))
     elif type(o) is dict and o and set(map(type, o)) == {str}:
         inner = nl + " "
         sep = "{" + inner
@@ -80,25 +89,129 @@ def _write(o, nl: str, out: list[str]) -> None:
         out.append(json.dumps(o, sort_keys=True, indent=1).replace("\n", nl))
 
 
-def _int_lists(items, nl: str) -> str | None:
-    """The nonempty list ``items`` as indented JSON when it holds only ints
-    or only lists of ints (ragged allowed); else None."""
-    inner = nl + " "
-    if set(map(type, items)) == {int}:
+def _list_text(items, nl: str) -> str | None:
+    """The nonempty list ``items`` as indented JSON when it holds only ints,
+    only lists of ints (ragged allowed) or only records; else None."""
+    types = set(map(type, items))
+    if types == {int}:
+        inner = nl + " "
         return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + nl + "]"
-    flat = _flat_ints(items, row_types=_SEQUENCES)
-    return None if flat is None else _rows(flat, list(map(len, items)), nl)
+    if types <= _SEQUENCES:
+        flat = _flat_ints(items, row_types=_SEQUENCES)
+        return None if flat is None else _fill(
+            _int_shapes("", list(map(len, items))), flat, _row_template, nl)
+    return _records(items, nl) if types == {dict} else None
 
 
-def _rows(flat: list[int], lengths: list[int], nl: str) -> str:
-    """The int rows of the given lengths, read in order from ``flat``, as
-    one indented JSON list."""
+def _fill(shapes: list, args, template, nl: str) -> str:
+    """:func:`_list_template` filled in order from ``args`` by one ``%``."""
+    return _list_template(shapes, template, nl) % tuple(args)
+
+
+def _list_template(shapes: list, template, nl: str) -> str:
+    """The template of an indented JSON list whose items have the given
+    shapes; the item template of each distinct shape is made once, by
+    ``template(shape, indent)``."""
+    if not shapes:
+        return "[]"
     inner = nl + " "
-    deeper = inner + " "
-    rows = {n: "[" + deeper + ("," + deeper).join(["%d"] * n) + inner + "]" if n else "[]"
-            for n in set(lengths)}
-    return ("[" + inner + ("," + inner).join(map(rows.__getitem__, lengths))
-            + nl + "]") % tuple(flat)
+    texts = {shape: template(shape, inner) for shape in set(shapes)}
+    return "[" + inner + ("," + inner).join(map(texts.__getitem__, shapes)) + nl + "]"
+
+
+def _int_shapes(prefix: str, lengths: list[int]) -> list[str]:
+    """``prefix + "d" * n`` for each ``n`` of ``lengths``, one str object
+    per distinct length."""
+    shapes = {n: prefix + "d" * n for n in set(lengths)}
+    return list(map(shapes.__getitem__, lengths))
+
+
+def _row_template(kinds: str, nl: str) -> str:
+    """A list of one ``%`` conversion per char of ``kinds``: ``d`` for an
+    int, ``s`` for an already encoded str."""
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(map("%".__add__, kinds)) + nl + "]" if kinds else "[]"
+
+
+def _records(items: list, nl: str) -> str | None:
+    """The nonempty list of dicts ``items`` as indented JSON when they share
+    one nonempty tuple of str keys and each key's values are all ints and
+    strs or all lists of ``[int, int or str]`` pairs; else None."""
+    keys = set(map(tuple, items))
+    if len(keys) != 1:
+        return None
+    (order,) = keys
+    if not order or set(map(type, order)) != {str}:
+        return None
+    inner, deeper = nl + " ", nl + "  "
+    # the template is, record by record: its opening, the template of each
+    # key and value shape (made once per distinct shape), its closing
+    pieces = [itertools.chain(["[" + inner + "{"], itertools.repeat("," + inner + "{"))]
+    args = []
+    for key in sorted(order):
+        column = _column(list(map(itemgetter(key), items)))
+        if column is None:
+            return None
+        kinds, values = column
+        head = ("," if args else "") + deeper + _encode_str(key).replace("%", "%%") + ": "
+        texts = {kind: head + _value_template(kind, deeper) for kind in set(kinds)}
+        pieces.append(map(texts.__getitem__, kinds))
+        args.append(values)
+    pieces.append(itertools.repeat(inner + "}"))
+    template = "".join(itertools.chain.from_iterable(zip(*pieces))) + nl + "]"
+    values = itertools.chain.from_iterable(itertools.chain.from_iterable(zip(*args)))
+    return template % tuple(values)
+
+
+def _encoded(value):
+    return _encode_str(value) if type(value) is str else value
+
+
+def _column(values: list) -> tuple[list[str], Iterator[Iterable]] | None:
+    """For each of one key's ``values``, its shape and its ``%`` arguments:
+    ``d`` or ``s`` for an int or a str, ``[`` and one ``d`` or ``s`` per
+    pair's value for a list of ``[int, int or str]`` pairs; None if a value
+    is neither. The arguments of pair lists are slices of one iterator, so
+    they must be read in order, each to its end."""
+    types = set(map(type, values))
+    if types <= {int, str}:
+        if str not in types:
+            return ["d"] * len(values), zip(values)
+        return list(map(_CONVERSION.__getitem__, map(type, values))), zip(map(_encoded, values))
+    flat = _flat_pairs(values, _SEQUENCES) if types <= _SEQUENCES else None
+    if flat is None:
+        return None
+    lengths = list(map(len, values))
+    scalars = flat[1::2]
+    if str in set(map(type, scalars)):
+        conversions = "".join(map(_CONVERSION.__getitem__, map(type, scalars)))
+        flat[1::2] = map(_encoded, scalars)
+        kinds = ["[" + conversions[end - n:end]
+                 for n, end in zip(lengths, itertools.accumulate(lengths))]
+    else:
+        kinds = _int_shapes("[", lengths)
+    rest = iter(flat)
+    return kinds, map(itertools.islice, itertools.repeat(rest), map((2).__mul__, lengths))
+
+
+def _flat_pairs(lists: list, pair_types: frozenset) -> list | None:
+    """The items of the pairs in ``lists``, in order, when every pair is
+    ``[int, int or str]`` and its type is in ``pair_types``; else None."""
+    pairs = list(itertools.chain.from_iterable(lists))
+    if not (set(map(type, pairs)) <= pair_types and set(map(len, pairs)) <= {2}):
+        return None
+    flat = list(itertools.chain.from_iterable(pairs))
+    if set(map(type, flat[0::2])) <= {int} and set(map(type, flat[1::2])) <= {int, str}:
+        return flat
+    return None
+
+
+def _value_template(kind: str, nl: str) -> str:
+    """The template of one record value of the shape ``kind`` (see
+    :func:`_column`)."""
+    if kind[0] != "[":
+        return "%" + kind
+    return _list_template(list(map("d".__add__, kind[1:])), _row_template, nl)
 
 
 def _ctx(where: str, path: str) -> str:
@@ -169,7 +282,11 @@ def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
         raise SchemaError(_ctx(where, "vertices/facets must be lists"))
     vertices = _vertices_from_json(raw_vertices, where)
     flat = _flat_ints(raw_facets)
-    if flat is None or (flat and not 0 <= min(flat) <= max(flat) < len(vertices)):
+    try:
+        table = None if flat is None else np.array(flat, dtype=np.intp)
+    except OverflowError:
+        table = None
+    if table is None or (table.size and not 0 <= table.min() <= table.max() < len(vertices)):
         # name the first bad facet
         for i, rf in enumerate(raw_facets):
             if not (isinstance(rf, list) and all(map(_is_index, rf))):
@@ -177,12 +294,19 @@ def _complex_from_json(d: dict, n_agents: int, where: str) -> ChromaticComplex:
             for v in rf:
                 if not 0 <= v < len(vertices):
                     raise SchemaError(_ctx(where, f"facets[{i}]: unknown vertex {v}"))
+    elif table.size and len(set(map(len, raw_facets))) == 1:
+        # facets of one width go on as the int array checked here
+        raw_facets = table.reshape(len(raw_facets), -1)
     return ChromaticComplex(n_agents, vertices, raw_facets)
 
 
 def _vertices_from_json(raw_vertices: list, where: str) -> list[Vertex]:
-    """The vertices in id order, each checked as it is built: names the
-    first bad one, then checks that the ids are 0..n-1."""
+    """The vertices in id order. The whole list is checked at once; only when
+    that fails is each vertex checked as it is built, which names the first
+    bad one, and then the ids are checked to be 0..n-1."""
+    vertices = _vertices_in_bulk(raw_vertices)
+    if vertices is not None:
+        return vertices
     ordered: dict[int, Vertex] = {}
     for i, rv in enumerate(raw_vertices):
         if type(rv) is not dict:
@@ -208,6 +332,29 @@ def _vertices_from_json(raw_vertices: list, where: str) -> list[Vertex]:
     if sorted(ordered) != list(range(len(ordered))):
         raise SchemaError(_ctx(where, "vertex ids must be dense 0..n-1"))
     return [ordered[i] for i in range(len(ordered))]
+
+
+def _vertices_in_bulk(raw_vertices: list) -> list[Vertex] | None:
+    """The vertices in id order when every item is an object with int
+    ``id`` and ``color`` and ``atoms`` (default ``[]``) a list of ``[int,
+    int or str]`` lists, and the ids are a permutation of 0..n-1; else None."""
+    if set(map(type, raw_vertices)) != {dict}:
+        return None
+    ids, colors = (list(map(dict.get, raw_vertices, itertools.repeat(key)))
+                   for key in ("id", "color"))
+    atoms = list(map(dict.get, raw_vertices, itertools.repeat("atoms"), itertools.repeat([])))
+    if not (set(map(type, ids)) == set(map(type, colors)) == {int}
+            and set(map(type, atoms)) == {list}
+            and _flat_pairs(atoms, frozenset({list})) is not None):
+        return None
+    n = len(ids)
+    if ids != list(range(n)):
+        if len(set(ids)) != n or min(ids) < 0 or max(ids) >= n:
+            return None
+        order = sorted(range(n), key=ids.__getitem__)
+        ids, colors, atoms = ([column[i] for i in order] for column in (ids, colors, atoms))
+    return list(map(Vertex, ids, colors,
+                    map(frozenset, map(map, itertools.repeat(tuple), atoms))))
 
 
 def model_from_json(d: dict, where: str = "") -> SimplicialModel:
@@ -335,6 +482,8 @@ def load_json(path: str, stream: IO | None = None) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as e:
         raise SchemaError(f"{path}: invalid JSON ({e})") from e
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 ({e})") from e
     except OSError as e:
         raise SchemaError(f"{path}: {e}") from e
 
@@ -346,6 +495,9 @@ def load_model(path: str) -> SimplicialModel:
 def load_formula(path: str) -> Formula:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return from_sexp(fh.read())
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 ({e})") from e
     except OSError as e:
         raise SchemaError(f"{path}: {e}") from e
+    return from_sexp(text)

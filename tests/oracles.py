@@ -7,7 +7,8 @@ the simulation engine, so agreement between these oracles and the fast
 paths is meaningful evidence rather than a tautology. From the library the
 snapshot oracle takes only the definitions ``compute_view`` and
 ``ordered_partitions``, the s-expression oracle only the tokenizer, and
-both take the formula factories, which intern.
+both take the formula factories, which intern; the vertex-reader oracle
+takes the ``Vertex`` record and ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import itertools
 import json
 from math import comb
 
-from delsim.errors import UsageError
+from delsim.complexes import Vertex
+from delsim.errors import SchemaError, UsageError
 from delsim.generators import compute_view, ordered_partitions
 from delsim.logic import Formula, _tokenize, atom, conj, disj, dknow, know, neg
 
@@ -93,6 +95,44 @@ def validate_complex_naive(c: ChromaticComplexNaive) -> list[str]:
         if v.id not in covered:
             problems.append(f"vertex {v.id} lies in no facet")
     return problems
+
+
+def vertices_from_json_naive(raw_vertices: list, where: str) -> list:
+    """The model reader's vertex list one vertex at a time, each checked as
+    it is built: names the first bad vertex, then checks that the ids are
+    0..n-1. The reference for ``serialize``'s bulk vertex reader, which
+    must return the same vertices or raise SchemaError with the same
+    message."""
+    def ctx(path):
+        return f"{where}: {path}" if where else path
+
+    ordered = {}
+    for i, rv in enumerate(raw_vertices):
+        if type(rv) is not dict:
+            raise SchemaError(ctx(f"vertices[{i}]: expected an object"))
+        for key in ("id", "color"):
+            if key not in rv:
+                at = f"{where}:vertices[{i}]" if where else f"vertices[{i}]"
+                raise SchemaError(f"{at}: missing key {key!r}")
+        vid, color, atoms = rv["id"], rv["color"], rv.get("atoms", [])
+        if type(vid) is not int or type(color) is not int:
+            raise SchemaError(ctx(f"vertices[{i}]: id and color must be ints"))
+        if type(atoms) is not list:
+            raise SchemaError(ctx(f"vertices[{i}].atoms: expected a list"))
+        for k, pair in enumerate(atoms):
+            if not (type(pair) is list and len(pair) == 2 and type(pair[0]) is int):
+                raise SchemaError(ctx(f"vertices[{i}].atoms[{k}]: expected [agent, value]"))
+            value = pair[1]
+            if type(value) is not int and type(value) is not str and (
+                    isinstance(value, bool) or not isinstance(value, (int, str))):
+                raise SchemaError(ctx(
+                    f"vertices[{i}].atoms[{k}]: values must be int or str, got {value!r}"))
+        if vid in ordered:
+            raise SchemaError(ctx(f"vertices[{i}]: duplicate vertex id {vid}"))
+        ordered[vid] = Vertex(id=vid, color=color, atoms=frozenset(map(tuple, atoms)))
+    if sorted(ordered) != list(range(len(ordered))):
+        raise SchemaError(ctx("vertex ids must be dense 0..n-1"))
+    return [ordered[i] for i in range(len(ordered))]
 
 
 def product_update_naive(model, action) -> dict:

@@ -271,6 +271,20 @@ def test_missing_file_is_usage_error(tmp_path):
                     "-o", str(tmp_path / "no-such-dir" / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["model", "formula"])
+def test_non_utf8_file_is_usage_error(consensus_files, tmp_path, capsys, bad):
+    """A model or formula file that is not UTF-8 is a file error (exit 2)
+    that names the file, not an internal error."""
+    files = {"model": str(consensus_files["task"]), "formula": str(tmp_path / "phi.sexp")}
+    (tmp_path / "phi.sexp").write_text("(atom 0 0)\n")
+    files[bad] = str(tmp_path / f"bad.{bad}")
+    with open(files[bad], "wb") as fh:
+        fh.write(b"\xff(atom 0 0)\n")
+    assert run_cli(["check", "--model", files["model"], "--formula", files["formula"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad]}: not UTF-8 ") and err.count("\n") == 1
+
+
 def test_bad_arguments_are_usage_errors():
     assert run_cli(["simulate"]) == 2
     assert run_cli(["no-such-command"]) == 2

@@ -13,7 +13,9 @@ update with random actions against its definition. Also the s-expression round t
 formulas, the s-expression reader against a recursive-descent reader on
 mutated texts, formulas that mix int and str atom values (distinct nodes,
 one text whatever the build order), the JSON round trips of models and
-relations, and the JSON writer against the standard library's."""
+relations, the JSON writer against the standard library's (also on lists
+of vertex-shaped records), and the model reader's vertices against a
+one-vertex-at-a-time reader on mutated vertex lists."""
 
 import itertools
 import json
@@ -28,7 +30,7 @@ from delsim import logic, serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
 from delsim.logic import (Formula, ModelTable, _tokenize, atom, classify, conj, disj,
                           dknow, from_sexp, know, neg, to_sexp)
-from delsim.errors import UsageError
+from delsim.errors import SchemaError, UsageError
 from delsim.models import (ActionModel, SimplicialModel, find_morphism,
                            product_update, standard_workspace)
 from delsim.obstruction import characteristic_formula, characteristic_formulas
@@ -613,3 +615,149 @@ JSON_PAYLOADS = st.recursive(
 @given(st.dictionaries(JSON_TEXT, JSON_PAYLOADS, max_size=4) | JSON_PAYLOADS)
 def test_dumps_matches_json_dumps(payload):
     assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# vertex-shaped records for the JSON writer's template path: int and str
+# values (escapes, non-ASCII and "%" included) and [agent, value] atom lists;
+# one list's records share their keys unless a mutation changes one record
+RECORD_TEXT = st.text(st.sampled_from('%"\\/\n\x00 aé€😀') | st.characters(), max_size=4)
+RECORD_VALUES = st.integers() | RECORD_TEXT
+RECORD_ATOMS = st.lists(st.tuples(st.integers(-2, 3), RECORD_VALUES).map(list), max_size=3)
+RECORD_MUTATIONS = ("bool id", "bool color", "bool agent", "bool value", "float value",
+                    "int subclass", "drop atoms", "empty atoms", "extra key",
+                    "tuple pair", "non-record")
+
+
+@st.composite
+def record_lists(draw):
+    """A nonempty list of ``{"id", "color", "atoms"}`` records, maybe with
+    the same extra keys in each, maybe without atoms, after up to two
+    mutations of single records."""
+    extra = draw(st.lists(RECORD_TEXT, max_size=2, unique=True))
+    with_atoms = draw(st.integers(0, 3)) > 0
+
+    def record():
+        rec = {"id": draw(st.integers()), "color": draw(st.integers(0, 3))}
+        if with_atoms:
+            rec["atoms"] = draw(RECORD_ATOMS)
+        rec.update((key, draw(RECORD_VALUES | RECORD_ATOMS)) for key in extra)
+        return rec
+
+    items = [record() for _ in range(draw(st.integers(1, 5)))]
+    for mutation in draw(st.lists(st.sampled_from(RECORD_MUTATIONS), max_size=2)):
+        i = draw(st.integers(0, len(items) - 1))
+        rec = items[i]
+        if type(rec) is not dict:
+            continue
+        atoms = rec.get("atoms") or []
+        if mutation == "non-record":
+            items[i] = draw(st.integers() | st.lists(st.integers(), max_size=2) | st.none())
+        elif mutation in ("bool id", "bool color"):
+            rec[mutation.split()[1]] = draw(st.booleans())
+        elif mutation == "int subclass":
+            rec["color"] = RecordInt(rec["color"])
+        elif mutation == "drop atoms":
+            rec.pop("atoms", None)
+        elif mutation == "empty atoms":
+            rec["atoms"] = []
+        elif mutation == "extra key":
+            rec[draw(RECORD_TEXT)] = draw(RECORD_VALUES)
+        elif atoms:
+            k = draw(st.integers(0, len(atoms) - 1))
+            if mutation == "tuple pair":
+                atoms[k] = tuple(atoms[k])
+            else:
+                slot, value = {"bool agent": (0, True), "bool value": (1, False),
+                               "float value": (1, 0.5)}[mutation]
+                atoms[k] = [*atoms[k]]
+                atoms[k][slot] = value
+    return items
+
+
+class RecordInt(int):
+    """An int subclass, which json writes through ``int.__repr__``."""
+
+    def __repr__(self):
+        return "RecordInt()"
+
+
+@SETTINGS
+@given(record_lists(), st.sampled_from(["top", "nested", "list"]))
+def test_dumps_writes_records_like_json_dumps(items, where):
+    payload = {"top": {"vertices": items},
+               "nested": {"models": [{"facets": [[0]], "vertices": items}]},
+               "list": items}[where]
+    assert serialize.dumps(payload) == json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# single mutations of a valid vertex list: the pinned failure kinds of
+# test_serialize's reader test, plus an extra key and a missing atoms list
+VERTEX_MUTATIONS = ("not an object", "missing id", "missing color", "str id", "bool id",
+                    "bool color", "atoms not a list", "long pair", "bool agent",
+                    "bad value", "duplicate id", "id out of range", "extra key",
+                    "missing atoms")
+VERTEX_VALUES = st.integers(-3, 3) | st.text("aé0%", max_size=2)
+
+
+@st.composite
+def vertex_lists(draw, mutation: str | None):
+    """A valid ``vertices`` list in random id order with int and str
+    values, after ``mutation`` of one vertex and maybe one more random
+    mutation (so that two faults meet: which one is named)."""
+    n = draw(st.integers(0 if mutation is None else 1, 6))
+    raw = [{"id": i, "color": draw(st.integers(-1, 3)),
+            "atoms": draw(st.lists(st.tuples(st.integers(-1, 3), VERTEX_VALUES).map(list),
+                                   max_size=3))}
+           for i in draw(st.permutations(range(n)))]
+    for kind in (mutation, draw(st.sampled_from((None,) * 3 + VERTEX_MUTATIONS))):
+        if kind is not None and raw:
+            k = draw(st.integers(0, len(raw) - 1))
+            if type(raw[k]) is dict:
+                raw[k] = mutate_vertex(draw, dict(raw[k]), kind, raw)
+    return raw
+
+
+def mutate_vertex(draw, rv: dict, mutation: str, raw: list):
+    """``rv`` after one mutation; a pair mutation first gives it a pair."""
+    if mutation == "not an object":
+        return draw(st.sampled_from([5, None, "v", [0, 0]]))
+    if mutation in ("missing id", "missing color", "missing atoms"):
+        rv.pop(mutation.split()[1], None)
+    elif mutation == "str id":
+        rv["id"] = str(rv.get("id"))
+    elif mutation in ("bool id", "bool color"):
+        rv[mutation.split()[1]] = draw(st.booleans())
+    elif mutation == "atoms not a list":
+        rv["atoms"] = draw(st.sampled_from([{"0": 0}, 5, (0, 0), None]))
+    elif mutation == "duplicate id":
+        other = draw(st.sampled_from(raw))
+        rv["id"] = other.get("id", 0) if type(other) is dict else 0
+    elif mutation == "id out of range":
+        rv["id"] = draw(st.sampled_from([-1, len(raw), 99]))
+    elif mutation == "extra key":
+        rv[draw(st.text(max_size=3))] = draw(VERTEX_VALUES)
+    elif type(rv.get("atoms")) is list:
+        atoms = rv["atoms"] = [list(pair) for pair in rv["atoms"]] or [[0, 0]]
+        pair = atoms[draw(st.integers(0, len(atoms) - 1))]
+        if mutation == "long pair":
+            pair.append(0)
+        elif mutation == "bool agent":
+            pair[0] = True
+        else:
+            pair[1] = draw(st.sampled_from([0.5, None, True, [1]]))
+    return rv
+
+
+@SETTINGS
+@pytest.mark.parametrize("mutation", (None,) + VERTEX_MUTATIONS)
+@given(data=st.data(), where=st.sampled_from(["", "m.json"]))
+def test_vertex_reader_matches_naive_reader(mutation, data, where):
+    raw = data.draw(vertex_lists(mutation))
+    try:
+        want = oracles.vertices_from_json_naive(raw, where)
+    except SchemaError as e:
+        with pytest.raises(SchemaError) as got:
+            serialize._vertices_from_json(raw, where)
+        assert str(got.value) == str(e)
+        return
+    assert serialize._vertices_from_json(raw, where) == want

@@ -1,6 +1,7 @@
 """JSON formats: round-trips, canonical output, schema errors."""
 
 import json
+import re
 
 import pytest
 
@@ -152,6 +153,12 @@ def test_load_helpers_report_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
         serialize.load_json(str(bad))
+    for name, load in (("latin1.json", serialize.load_json),
+                       ("latin1.sexp", serialize.load_formula)):
+        undecodable = tmp_path / name
+        undecodable.write_bytes(b"\xff(atom 0 0)")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(undecodable))}: not UTF-8 "):
+            load(str(undecodable))
 
 
 def test_formula_file_round_trip(tmp_path):
