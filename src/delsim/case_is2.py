@@ -165,7 +165,7 @@ def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,
             in_final = _find(rel.final_keys, edge)[1]
             ok &= ~(in_final[xs] & distinct & (decide[:, a] == inputs[:, p])
                     & (decide[:, b] == inputs[:, q]))
-    return Relation.from_pairs(base.dims, np.stack([xs[ok], js[ok]], axis=1))
+    return Relation._sorted(base.dims, xs[ok], js[ok])
 
 
 def location_violations(snap: SnapshotRun, rel: ConflictRelation) -> list[tuple[int, int]]:

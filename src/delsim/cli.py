@@ -29,8 +29,8 @@ from .generators import (DiGraph, agreement_action, agreement_run,
                          knowall_action, snapshot_action, snapshot_run,
                          staircase_task, standard_two_bit_workspace)
 from .logic import ModelTable, from_sexp, to_sexp
-from .models import (Workspace, find_morphism, input_model, product_update,
-                     standard_workspace)
+from .models import (ActionModel, Workspace, find_morphism, input_model,
+                     product_update, standard_workspace)
 from .obstruction import decide_obstruction
 from .simulation import SimulationEngine, totality_witnesses
 
@@ -40,30 +40,32 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 
-def _resolve(path: str | None) -> str | None:
-    if path in (None, "-"):
-        return path
+def _path(path: str) -> str:
+    """The ``type=`` of every path option: a relative path resolves under
+    ``$DELSIM_DIR`` when that is set; ``-`` (stdin or stdout) stays."""
     base = os.environ.get("DELSIM_DIR")
-    if base and not os.path.isabs(path):
+    if base and path != "-" and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = serialize.dumps(payload)
-    out = _resolve(out)
-    if out in (None, "-"):
+def _read(path: str, from_json):
+    """The document at ``path`` (``-``: stdin) read by ``from_json``, with
+    errors naming the path read, or ``<stdin>``."""
+    where, stream = ("<stdin>", sys.stdin) if path == "-" else (path, None)
+    return from_json(serialize.load_json(where, stream=stream), where=where)
+
+
+def _write(text: str, path: str | None) -> None:
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _load_json_arg(path: str) -> dict:
-    path = _resolve(path)
-    if path == "-":
-        return serialize.load_json("<stdin>", stream=sys.stdin)
-    return serialize.load_json(path)
+def _emit(payload: dict, out: str | None) -> None:
+    _write(serialize.dumps(payload), out)
 
 
 def _values(text: str) -> list[int | str]:
@@ -98,44 +100,40 @@ def _parse_inputs(text: str | None, ws: Workspace):
 def _cmd_gen(args) -> int:
     ws = _workspace_from_args(args.agents, args.values)
     if args.family == "input":
-        _emit(serialize.model_to_json(input_model(ws)), args.output)
-    elif args.family == "is":
-        proto = snapshot_action(ws, args.rounds, _parse_inputs(args.inputs, ws))
-        _emit(serialize.action_to_json(proto.action), args.output)
-    elif args.family == "sa":
-        task = agreement_action(ws, args.k)
-        _emit(serialize.action_to_json(task.action), args.output)
-    elif args.family == "knowall":
-        graphs = []
-        for edges in serialize.graphs_from_json(_load_json_arg(args.graphs),
-                                                where=args.graphs):
-            loops = {(p, p) for p in range(ws.n_agents)} - edges
-            if loops:
-                print(f"note: added {len(loops)} missing self-loop(s)", file=sys.stderr)
-            graphs.append(DiGraph(ws.n_agents, frozenset(edges | loops)))
-        proto = knowall_action(ws, graphs, args.rounds)
-        print(f"note: effective graph domination number = "
-              f"{domination_number(proto.effective)}", file=sys.stderr)
-        _emit(serialize.action_to_json(proto.action), args.output)
-    elif args.family == "staircase":
-        if args.protocol:
-            _emit(serialize.action_to_json(
-                constant_true_protocol(standard_two_bit_workspace())), args.output)
-        else:
-            task = staircase_task(args.max_decision)
-            _emit(serialize.action_to_json(task.action), args.output)
+        doc = serialize.model_to_json(input_model(ws))
     else:
-        raise UsageError(f"unknown family {args.family!r}")
+        doc = serialize.action_to_json(_gen_action(args, ws))
+    _emit(doc, args.output)
     return EXIT_OK
 
 
+def _gen_action(args, ws: Workspace) -> ActionModel:
+    if args.family == "is":
+        return snapshot_action(ws, args.rounds, _parse_inputs(args.inputs, ws)).action
+    if args.family == "sa":
+        return agreement_action(ws, args.k).action
+    if args.family == "staircase":
+        if args.protocol:
+            return constant_true_protocol(standard_two_bit_workspace())
+        return staircase_task(args.max_decision).action
+    graphs = []
+    for edges in _read(args.graphs, serialize.graphs_from_json):
+        loops = {(p, p) for p in range(ws.n_agents)} - edges
+        if loops:
+            print(f"note: added {len(loops)} missing self-loop(s)", file=sys.stderr)
+        graphs.append(DiGraph(ws.n_agents, frozenset(edges | loops)))
+    proto = knowall_action(ws, graphs, args.rounds)
+    print(f"note: effective graph domination number = "
+          f"{domination_number(proto.effective)}", file=sys.stderr)
+    return proto.action
+
+
 def _cmd_update(args) -> int:
-    action = serialize.action_from_json(_load_json_arg(args.action),
-                                        where=args.action)
+    action = _read(args.action, serialize.action_from_json)
     if args.input == "default":
         model = input_model(action.workspace)
     else:
-        model = serialize.model_from_json(_load_json_arg(args.input), where=args.input)
+        model = _read(_path(args.input), serialize.model_from_json)
     result = product_update(model, action)
     _emit(serialize.model_to_json(result.model), args.output)
     if args.provenance:
@@ -144,8 +142,8 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    left = serialize.model_from_json(_load_json_arg(args.left), where=args.left)
-    right = serialize.model_from_json(_load_json_arg(args.right), where=args.right)
+    left = _read(args.left, serialize.model_from_json)
+    right = _read(args.right, serialize.model_from_json)
     chain = SimulationEngine(left, right).chain(args.mode)
     fix = chain.fixpoint
     _emit(serialize.relation_to_json(
@@ -160,29 +158,24 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    protocol = serialize.model_from_json(_load_json_arg(args.protocol), where=args.protocol)
-    task = serialize.model_from_json(_load_json_arg(args.task), where=args.task)
+    protocol = _read(args.protocol, serialize.model_from_json)
+    task = _read(args.task, serialize.model_from_json)
     verdict = decide_obstruction(protocol, task, args.mode)
     phi_file = None
     if verdict.exists:
-        phi_file = _resolve(args.phi) or _default_phi_path(args.output)
-        text = to_sexp(verdict.phi, share=not args.expand)
-        if phi_file == "-":
-            sys.stdout.write(text + "\n")
-        else:
-            with open(phi_file, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        phi_file = args.phi or _default_phi_path(args.output)
+        _write(to_sexp(verdict.phi, share=not args.expand) + "\n", phi_file)
     _emit({"format": serialize.VERDICT_FORMAT,
            **verdict.to_json(phi_file=phi_file)}, args.output)
     return EXIT_OBSTRUCTION if verdict.exists else EXIT_OK
 
 
 def _default_phi_path(output: str | None) -> str:
-    out = _resolve(output)
-    if out in (None, "-"):
-        return "obstruction.sexp"
-    root, _ = os.path.splitext(out)
-    return root + ".sexp"
+    """``<output>.sexp``, or ``obstruction.sexp`` when the verdict goes to
+    stdout."""
+    if output in (None, "-"):
+        return _path("obstruction.sexp")
+    return os.path.splitext(output)[0] + ".sexp"
 
 
 def _cmd_check(args) -> int:
@@ -191,12 +184,11 @@ def _cmd_check(args) -> int:
     if args.formula is not None:
         if args.model is None:
             raise UsageError("--formula needs --model")
-        model = serialize.model_from_json(_load_json_arg(args.model), where=args.model)
-        path = _resolve(args.formula)
-        if path == "-":
+        model = _read(args.model, serialize.model_from_json)
+        if args.formula == "-":
             phi = from_sexp(sys.stdin.read())
         else:
-            phi = serialize.load_formula(path)
+            phi = serialize.load_formula(args.formula)
         table = ModelTable(model)
         if args.facet is not None:
             _emit({"facet": args.facet, "holds": table.check(args.facet, phi)},
@@ -209,17 +201,17 @@ def _cmd_check(args) -> int:
         return EXIT_OK
     if args.left is None or args.right is None:
         raise UsageError("--relation needs --left and --right")
-    left = serialize.model_from_json(_load_json_arg(args.left), where=args.left)
-    right = serialize.model_from_json(_load_json_arg(args.right), where=args.right)
-    rel = serialize.relation_from_json(_load_json_arg(args.relation), where=args.relation)
+    left = _read(args.left, serialize.model_from_json)
+    right = _read(args.right, serialize.model_from_json)
+    rel = _read(args.relation, serialize.relation_from_json)
     report = SimulationEngine(left, right).verify(rel, args.mode)
     _emit(report.to_json(), args.output)
     return EXIT_OK
 
 
 def _cmd_morphism(args) -> int:
-    source = serialize.model_from_json(_load_json_arg(args.source), where=args.source)
-    target = serialize.model_from_json(_load_json_arg(args.target), where=args.target)
+    source = _read(args.source, serialize.model_from_json)
+    target = _read(args.target, serialize.model_from_json)
     found = find_morphism(source, target)
     _emit(serialize.morphism_to_json(found), args.output)
     return EXIT_OK
@@ -231,16 +223,14 @@ def _cmd_case_is2(args) -> int:
     snap = snapshot_run(ws, 2, inputs)
     agree = agreement_run(ws, 2)
 
-    outdir = _resolve(args.outdir) or "."
-    os.makedirs(outdir, exist_ok=True)
+    os.makedirs(args.outdir, exist_ok=True)
     conflicts = {}
     rpq_files = {}
     for p, q in itertools.combinations(range(3), 2):
         rel = conflict_relation(snap, p, q)
         conflicts[(p, q)] = rel
-        path = os.path.join(outdir, f"rpq_{p}{q}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(conflict_report(rel)))
+        path = os.path.join(args.outdir, f"rpq_{p}{q}.json")
+        _emit(conflict_report(rel), path)
         rpq_files[f"{p},{q}"] = path
 
     location = {f"{p},{q}": len(location_violations(snap, rel))
@@ -275,6 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide epistemic solvability of distributed tasks via "
                     "simulations over simplicial models.")
     sub = ap.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("-o", "--output", type=_path, default=None)
 
     gen = sub.add_parser("gen", help="generate models and action models")
     gsub = gen.add_subparsers(dest="family", required=True)
@@ -285,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         "knowall": ("rounds", "graphs"),
         "staircase": ("max_decision", "protocol"),
     }.items():
-        g = gsub.add_parser(fam)
+        g = gsub.add_parser(fam, parents=[out])
         if fam != "staircase":
             g.add_argument("--agents", required=True,
                            help="agent count or comma-separated names")
@@ -301,64 +293,63 @@ def build_parser() -> argparse.ArgumentParser:
         if "k" in extras:
             g.add_argument("--k", type=int, required=True)
         if "graphs" in extras:
-            g.add_argument("--graphs", required=True,
+            g.add_argument("--graphs", type=_path, required=True,
                            help="JSON file: {'graphs': [{'edges': [[p,q],...]},...]}")
         if "max_decision" in extras:
             g.add_argument("--max-decision", type=int, default=4, dest="max_decision")
         if "protocol" in extras:
             g.add_argument("--protocol", action="store_true",
                            help="emit the do-nothing protocol instead of the task")
-        g.add_argument("-o", "--output", default=None)
         g.set_defaults(func=_cmd_gen)
 
-    up = sub.add_parser("update", help="product-update a model with an action")
-    up.add_argument("--action", default="-", help="action JSON (default: stdin)")
+    up = sub.add_parser("update", parents=[out],
+                        help="product-update a model with an action")
+    up.add_argument("--action", type=_path, default="-",
+                    help="action JSON (default: stdin)")
     up.add_argument("--input", default="default",
                     help="input model JSON, or 'default' for the full input model")
-    up.add_argument("--provenance", default=None, help="also write facet provenance")
-    up.add_argument("-o", "--output", default=None)
+    up.add_argument("--provenance", type=_path, default=None,
+                    help="also write facet provenance")
     up.set_defaults(func=_cmd_update)
 
-    sim = sub.add_parser("simulate", help="maximum-simulation fixpoint")
-    sim.add_argument("--left", required=True)
-    sim.add_argument("--right", required=True)
+    sim = sub.add_parser("simulate", parents=[out], help="maximum-simulation fixpoint")
+    sim.add_argument("--left", type=_path, required=True)
+    sim.add_argument("--right", type=_path, required=True)
     sim.add_argument("--mode", choices=("K", "D"), required=True)
-    sim.add_argument("-o", "--output", default=None)
     sim.set_defaults(func=_cmd_simulate)
 
-    ob = sub.add_parser("obstruct", help="decide and verify a logical obstruction")
-    ob.add_argument("--protocol", required=True)
-    ob.add_argument("--task", required=True)
+    ob = sub.add_parser("obstruct", parents=[out],
+                        help="decide and verify a logical obstruction")
+    ob.add_argument("--protocol", type=_path, required=True)
+    ob.add_argument("--task", type=_path, required=True)
     ob.add_argument("--mode", choices=("K", "D"), required=True)
-    ob.add_argument("--phi", default=None, help="where to write the formula")
+    ob.add_argument("--phi", type=_path, default=None, help="where to write the formula")
     ob.add_argument("--expand", action="store_true",
                     help="write the formula as a tree instead of a shared DAG")
-    ob.add_argument("-o", "--output", default=None)
     ob.set_defaults(func=_cmd_obstruct)
 
-    ck = sub.add_parser("check", help="model-check a formula, or verify a relation")
-    ck.add_argument("--model", default=None)
-    ck.add_argument("--formula", default=None)
+    ck = sub.add_parser("check", parents=[out],
+                        help="model-check a formula, or verify a relation")
+    ck.add_argument("--model", type=_path, default=None)
+    ck.add_argument("--formula", type=_path, default=None)
     ck.add_argument("--facet", type=int, default=None)
-    ck.add_argument("--left", default=None)
-    ck.add_argument("--right", default=None)
-    ck.add_argument("--relation", default=None)
+    ck.add_argument("--left", type=_path, default=None)
+    ck.add_argument("--right", type=_path, default=None)
+    ck.add_argument("--relation", type=_path, default=None)
     ck.add_argument("--mode", choices=("K", "D"), default="K")
-    ck.add_argument("-o", "--output", default=None)
     ck.set_defaults(func=_cmd_check)
 
-    mo = sub.add_parser("morphism", help="search for a model morphism")
-    mo.add_argument("--source", required=True)
-    mo.add_argument("--target", required=True)
-    mo.add_argument("-o", "--output", default=None)
+    mo = sub.add_parser("morphism", parents=[out], help="search for a model morphism")
+    mo.add_argument("--source", type=_path, required=True)
+    mo.add_argument("--target", type=_path, required=True)
     mo.set_defaults(func=_cmd_morphism)
 
-    cs = sub.add_parser("case-is2",
+    cs = sub.add_parser("case-is2", parents=[out],
                         help="two-round snapshot vs 2-set agreement case study")
     cs.add_argument("--single-input", action="store_true",
                     help="restrict to the all-zero input (figure scale)")
-    cs.add_argument("--outdir", default=".", help="directory for conflict dumps")
-    cs.add_argument("-o", "--output", default=None)
+    cs.add_argument("--outdir", type=_path, default=".",
+                    help="directory for conflict dumps")
     cs.set_defaults(func=_cmd_case_is2)
     return ap
 

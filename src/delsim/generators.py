@@ -563,7 +563,7 @@ def explicit_agreement_relation(snap: SnapshotRun, agree: AgreementRun) -> Relat
     ok = np.ones(s0.count, dtype=bool)
     for a in range(snap.workspace.n_agents):
         ok &= (seen[table[s0.xs, a]] >> decide[s0.js, a] & 1) == 1
-    return Relation.from_pairs(s0.dims, np.stack([s0.xs[ok], s0.js[ok]], axis=1))
+    return Relation._sorted(s0.dims, s0.xs[ok], s0.js[ok])
 
 
 def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphism:

@@ -353,13 +353,57 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_env_var_resolves_relative_paths(tmp_path, monkeypatch):
-    monkeypatch.setenv("DELSIM_DIR", str(tmp_path))
+def test_env_var_resolves_relative_paths(tmp_path, monkeypatch, capsys):
+    """With ``$DELSIM_DIR`` set, every relative path, the default formula
+    file and ``case-is2 --outdir`` included, resolves under it, so
+    ``obstruct`` then ``check --formula`` works from relative paths alone
+    and nothing lands in the working directory."""
+    base, cwd = tmp_path / "d", tmp_path / "cwd"
+    base.mkdir()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("DELSIM_DIR", str(base))
     assert run_cli(["gen", "input", "--agents", "2", "-o", "m.json"]) == 0
-    assert (tmp_path / "m.json").exists()
     assert run_cli(["simulate", "--left", "m.json", "--right", "m.json",
                     "--mode", "D", "-o", "sim.json"]) == 0
-    assert read(tmp_path / "sim.json")["total"] is True
+    assert read(base / "sim.json")["total"] is True
+    for argv, code in [
+        (["gen", "is", "--agents", "2", "--rounds", "1", "-o", "is.json"], 0),
+        (["gen", "sa", "--agents", "2", "--k", "1", "-o", "sa.json"], 0),
+        (["update", "--action", "is.json", "--provenance", "prov.json",
+          "-o", "proto.json"], 0),
+        (["update", "--action", "sa.json", "-o", "task.json"], 0),
+        (["obstruct", "--protocol", "proto.json", "--task", "task.json",
+          "--mode", "K"], 1),
+        (["check", "--model", "task.json", "--formula", "obstruction.sexp",
+          "-o", "chk.json"], 0),
+        (["simulate", "--left", "proto.json", "--right", "task.json",
+          "--mode", "K", "-o", "rel.json"], 0),
+        (["check", "--left", "proto.json", "--right", "task.json",
+          "--relation", "rel.json", "-o", "rep.json"], 0),
+        (["morphism", "--source", "proto.json", "--target", "task.json",
+          "-o", "mor.json"], 0),
+        (["case-is2", "--single-input", "--outdir", "out", "-o", "case.json"], 0),
+    ]:
+        assert run_cli(argv) == code, (argv, capsys.readouterr().err)
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["phi_file"] == str(base / "obstruction.sexp")
+    assert read(base / "chk.json")["valid"] is True
+    assert read(base / "rep.json")["forth_ok"] is True
+    assert all(path.startswith(str(base / "out"))
+               for path in read(base / "case.json")["rpq_files"].values())
+    assert sorted(p.relative_to(base).as_posix() for p in base.rglob("*")) == [
+        "case.json", "chk.json", "is.json", "m.json", "mor.json",
+        "obstruction.sexp", "out", "out/rpq_01.json", "out/rpq_02.json",
+        "out/rpq_12.json", "proto.json", "prov.json", "rel.json", "rep.json",
+        "sa.json", "sim.json", "task.json"]
+    assert list(cwd.iterdir()) == []
+
+
+def test_stdin_errors_name_stdin(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+    assert run_cli(["update", "--action", "-"]) == 2
+    assert capsys.readouterr().err == "error: <stdin>: missing key 'agents'\n"
 
 
 def test_stdin_stdout_pipeline(consensus_files, capsys, monkeypatch):
