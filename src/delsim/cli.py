@@ -42,10 +42,11 @@ EXIT_INTERNAL = 3
 
 def _path(path: str) -> str:
     """The ``type=`` of every path option: a relative path resolves under
-    ``$DELSIM_DIR`` when that is set; ``-`` (stdin or stdout) stays."""
+    ``$DELSIM_DIR`` when that is set, normalised (``.`` is the directory
+    itself); ``-`` (stdin or stdout) stays."""
     base = os.environ.get("DELSIM_DIR")
     if base and path != "-" and not os.path.isabs(path):
-        return os.path.join(base, path)
+        return os.path.normpath(os.path.join(base, path))
     return path
 
 
@@ -158,6 +159,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
+    if args.phi == "-" and args.output in (None, "-"):
+        raise UsageError("--phi - and the verdict (-o, default stdout) would both "
+                         "write to stdout; send one of them to a file")
     protocol = _read(args.protocol, serialize.model_from_json)
     task = _read(args.task, serialize.model_from_json)
     verdict = decide_obstruction(protocol, task, args.mode)

@@ -11,10 +11,16 @@ individual knowledge ``K a``, and distributed knowledge ``D A`` for an agent
 set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 
 `ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
-boolean vectors over all facets of a model (or of several side by side), one
+truth vectors over all facets of a model (or of several side by side), one
 vector per node, and frees each subformula's vector once its last parent is
 computed. It keeps the vectors of the formulas it was asked about, so memory
-follows the DAG's width, not its size.
+follows the DAG's width, not its size. A vector is a Python int used as a
+bitset, bit i for facet i, so the boolean connectives are one int operation
+each on 14 facets or on 38k. A modal step closes the facets where its
+subformula fails under the group's face classes (`_Classes`): by one shift
+per in-class facet offset when a group's classes have few offsets, by a walk
+over the failing classes when few classes can fail, and otherwise by a numpy
+scatter over the unpacked vector. Only the answer is unpacked.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import enum
 import json
 import re
 from collections import Counter
+from functools import reduce
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import and_, attrgetter, or_
 from typing import Iterable
 
 import numpy as np
@@ -205,17 +212,23 @@ class ModelTable:
     of several models of one workspace.
 
     ``satisfies(f)`` returns a read-only boolean vector indexed by facet,
-    the models' facets in order. The table keeps the vector of each formula
-    it was asked about, and a later query returns that same array or reads
-    it as a leaf. Other subformulas' vectors live only while a query runs:
-    each is freed once its last parent in the postorder is computed, so a
-    query holds the DAG's widest cut of vectors, not one per node. A query
-    that raises keeps nothing. ``D A phi`` holds at X iff phi holds at every
-    facet of X's model sharing X's A-face (every facet of X's model when A is
-    empty), and ``K a phi`` is ``D {a} phi``. Each group's face classes are
-    read once per table; a modal step then marks the classes where phi fails
-    and reads the mark back per facet. When every class is one facet it is
-    phi's own vector, and when there is one class a constant.
+    the models' facets in order. Inside, a truth vector is a Python int
+    used as a bitset, bit i for facet i: NOT is ``full ^ v`` and AND/OR
+    fold ``&``/``|`` over the children, one operation each whatever the
+    number of facets. The table keeps the vector of each formula it was
+    asked about, packed and unpacked, and a later query returns that same
+    array or reads it as a leaf. Other subformulas' vectors live only while
+    a query runs: each is freed once its last parent in the postorder is
+    computed, so a query holds the DAG's widest cut of vectors, not one per
+    node. A query that raises keeps nothing.
+
+    ``D A phi`` holds at X iff phi holds at every facet of X's model sharing
+    X's A-face (every facet of X's model when A is empty), and ``K a phi``
+    is ``D {a} phi``. A modal step is phi's own vector when phi holds
+    everywhere or every class is one facet, and a constant when there is one
+    class. Otherwise it takes the facets where phi fails and closes them
+    under the group's face classes (`_Classes`, read once per group); the
+    step holds off that closure.
     """
 
     def __init__(self, *models):
@@ -226,15 +239,16 @@ class ModelTable:
         if any(m.workspace != self.workspace for m in models):
             raise UsageError("models use different workspaces")
         self.n_facets = sum(m.n_facets for m in models)
-        self._vals: dict[Formula, np.ndarray] = {}
-        self._classes: dict[tuple[int, ...], tuple[np.ndarray, int]] = {}
+        self._full = (1 << self.n_facets) - 1
+        self._vals: dict[Formula, tuple[int, np.ndarray]] = {}
+        self._classes: dict[tuple[int, ...], _Classes] = {}
 
     def satisfies(self, f: Formula) -> np.ndarray:
         """Read-only boolean vector: entry i <=> formula holds at facet i."""
         vals = self._vals
-        vec = vals.get(f)
-        if vec is not None:
-            return vec
+        held = vals.get(f)
+        if held is not None:
+            return held[1]
         order = _postorder(f, vals)
         kids = list(map(attrgetter("children"), order))
         # each child's last use: the position of its last parent in ``order``
@@ -245,15 +259,17 @@ class ModelTable:
         dying = sorted(last, key=last.__getitem__)
         ends = sorted(last.values())
         ends.append(-1)
-        live = {c: vals[c] for c in last.keys() & vals.keys()}
+        live = {c: vals[c][0] for c in last.keys() & vals.keys()}
         j = 0
         for i, node in enumerate(order):
             live[node] = self._compute(node, live)
             while ends[j] == i:
                 del live[dying[j]]
                 j += 1
-        vec = vals[f] = live[f]
+        bits = live[f]
+        vec = _unpack(bits, self.n_facets)
         vec.setflags(write=False)
+        vals[f] = (bits, vec)
         return vec
 
     def check(self, facet: int, f: Formula) -> bool:
@@ -261,40 +277,164 @@ class ModelTable:
             raise UsageError(f"facet index {facet} out of range")
         return bool(self.satisfies(f)[facet])
 
-    def _compute(self, node: Formula, live: dict) -> np.ndarray:
+    def _compute(self, node: Formula, live: dict) -> int:
         kind = node.kind
         if kind == ATOM:
             a, v = node.payload
             ws = self.workspace
             if a >= ws.n_agents or v not in ws.value_set:
                 raise UsageError(f"atom {(a, v)!r} outside workspace {ws.agents}/{ws.values}")
-            return np.array([node.payload in lab for m in self.models
-                             for lab in m.facet_labels], dtype=bool)
+            return _pack(np.array([node.payload in lab for m in self.models
+                                   for lab in m.facet_labels], dtype=bool))
         if kind == NOT:
-            return ~live[node.children[0]]
+            return self._full ^ live[node.children[0]]
         if kind == AND or kind == OR:
-            op = np.logical_and if kind == AND else np.logical_or
-            vecs = [live[c] for c in node.children]
-            return op(*vecs) if len(vecs) == 2 else op.reduce(vecs)
+            return reduce(and_ if kind == AND else or_, map(live.__getitem__, node.children))
         child = live[node.children[0]]
-        group = (node.payload,) if kind == K else tuple(sorted(node.payload))
+        full = self._full
+        if child == full:
+            return child
+        classes = self._group((node.payload,) if kind == K else tuple(sorted(node.payload)))
+        if classes.n_classes == self.n_facets:
+            return child
+        if classes.n_classes == 1:
+            return 0
+        return full ^ classes.close(full ^ child)
+
+    def _group(self, group: tuple[int, ...]) -> _Classes:
+        """The face classes of the sorted agent tuple ``group``."""
         found = self._classes.get(group)
         if found is None:
-            # each model's classes numbered after the previous model's
-            parts, count = [], 0
+            # each model's classes numbered after the previous model's, and
+            # its facets after the previous model's facets
+            ids, order, starts = [], [], []
+            n_classes = n_facets = 0
             for m in self.models:
-                ids, _, starts = m.face_classes(group)
-                parts.append(ids + count)
-                count += len(starts)
-            found = self._classes[group] = (np.concatenate(parts), count)
-        ids, n_classes = found
-        if n_classes == self.n_facets:
-            return child
-        if n_classes == 1:
-            return np.full(self.n_facets, child.all())
-        hit = np.zeros(n_classes, dtype=bool)
-        hit[ids[~child]] = True
-        return ~hit[ids]
+                i, o, s = m.face_classes(group)
+                ids.append(i + n_classes)
+                order.append(o + n_facets)
+                starts.append(s + n_facets)
+                n_classes += len(s)
+                n_facets += m.n_facets
+            found = self._classes[group] = _Classes(
+                np.concatenate(ids), np.concatenate(order), np.concatenate(starts))
+        return found
+
+
+# A group whose classes hold more distinct (target - source) facet offsets
+# than this closes its failing facets by the walk or the scatter instead.
+_MAX_SHIFTS = 32
+# The walk visits one failing class at a time; with more than this many the
+# scatter's one pass over the facets is cheaper.
+_MAX_WALK = 48
+
+
+class _Classes:
+    """One group's face classes over a table's facets, and three ways to
+    close a set of facets ``fail`` (an int bitset) under them: the union of
+    the classes that meet ``fail``.
+
+    * `shifts`: ``fail | OR_d ((fail & M_d) shifted by d)`` over each
+      distinct offset d from a facet to another of its class, where M_d
+      holds the facets x with x + d in x's class. Offsets are enumerated
+      only when the largest class is small enough to have at most
+      ``_MAX_SHIFTS`` of them (a class of s facets has at least 2(s - 1)),
+      and ``offsets`` is None when there are more.
+    * `walk`: take the highest failing facet, OR in its class, drop that
+      class from ``fail`` and repeat; one step per class that meets it.
+    * `scatter`: mark the classes of the unpacked failing facets and read
+      the mark back per facet.
+
+    `close` takes the shifts where there are fewer offsets than two per
+    class, else the walk when few classes can meet ``fail``, else the
+    scatter.
+    """
+
+    def __init__(self, ids: np.ndarray, order: np.ndarray, starts: np.ndarray):
+        self.ids, self.order = ids, order
+        self.n_facets = n = len(ids)
+        self.n_classes = len(starts)
+        self.bounds = np.append(starts, n)
+        self._id_list: list[int] | None = None
+        self._masks: list[int | None] = [None] * self.n_classes
+        largest = int(np.diff(self.bounds).max(initial=1))
+        self.offsets = self._offsets(largest) if 2 * (largest - 1) <= _MAX_SHIFTS else None
+
+    def _offsets(self, largest: int) -> list[tuple[int, int]] | None:
+        """(d, M_d) for each offset d, or None past ``_MAX_SHIFTS``."""
+        order = self.order
+        cls = self.ids[order]
+        empty = np.zeros(0, dtype=np.intp)
+        src, ds = [empty], [empty]
+        # every pair of one class, k apart in ``order``, read both ways
+        for k in range(1, largest):
+            at = np.flatnonzero(cls[:-k] == cls[k:])
+            x, y = order[at], order[at + k]
+            src += [x, y]
+            ds += [y - x, x - y]
+        src = np.concatenate(src)
+        offsets, which = np.unique(np.concatenate(ds), return_inverse=True)
+        if len(offsets) > _MAX_SHIFTS:
+            return None
+        return [(d, _pack_at(src[which == i], self.n_facets))
+                for i, d in enumerate(offsets.tolist())]
+
+    def close(self, fail: int) -> int:
+        """The facets sharing a class with some facet of ``fail``."""
+        # a walk's step costs about two shifts, and the walk takes at most
+        # one step per class
+        if self.offsets is not None and len(self.offsets) < 2 * self.n_classes:
+            return self.shifts(fail)
+        if self.n_classes <= _MAX_WALK or fail.bit_count() <= _MAX_WALK:
+            return self.walk(fail)
+        return self.scatter(fail)
+
+    def shifts(self, fail: int) -> int:
+        closed = fail
+        for d, sources in self.offsets:
+            moved = fail & sources
+            closed |= moved << d if d > 0 else moved >> -d
+        return closed
+
+    def walk(self, fail: int) -> int:
+        ids = self._id_list
+        if ids is None:
+            ids = self._id_list = self.ids.tolist()
+        masks = self._masks
+        closed = 0
+        while fail:
+            # bit_length reads the top digit only: walk from the top down
+            c = ids[fail.bit_length() - 1]
+            mask = masks[c]
+            if mask is None:
+                mask = masks[c] = _pack_at(
+                    self.order[self.bounds[c]:self.bounds[c + 1]], self.n_facets)
+            closed |= mask
+            fail ^= fail & mask
+        return closed
+
+    def scatter(self, fail: int) -> int:
+        hit = np.zeros(self.n_classes, dtype=bool)
+        hit[self.ids[_unpack(fail, self.n_facets)]] = True
+        return _pack(hit[self.ids])
+
+
+def _pack(vec: np.ndarray) -> int:
+    """A boolean vector as an int bitset, bit i for entry i."""
+    return int.from_bytes(np.packbits(vec, bitorder="little").tobytes(), "little")
+
+
+def _pack_at(index: np.ndarray, n: int) -> int:
+    """The bitset of the entries ``index`` out of ``n``."""
+    vec = np.zeros(n, dtype=bool)
+    vec[index] = True
+    return _pack(vec)
+
+
+def _unpack(bits: int, n: int) -> np.ndarray:
+    """The first ``n`` bits of ``bits`` as a boolean vector."""
+    raw = np.frombuffer(bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
 def eval_formula(model, facet: int, f: Formula) -> bool:

@@ -400,6 +400,34 @@ def test_env_var_resolves_relative_paths(tmp_path, monkeypatch, capsys):
     assert list(cwd.iterdir()) == []
 
 
+def test_env_var_paths_are_normalised(tmp_path, monkeypatch, capsys):
+    """A relative path joined under ``$DELSIM_DIR`` is normalised, so
+    ``case-is2``'s default ``--outdir .`` reports its files in the directory
+    itself, not under ``./``."""
+    base = tmp_path / "d"
+    base.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DELSIM_DIR", str(base))
+    assert cli._path("./out/../m.json") == str(base / "m.json")
+    assert cli._path("-") == "-"
+    assert run_cli(["case-is2", "--single-input"]) == 0
+    assert json.loads(capsys.readouterr().out)["rpq_files"] == {
+        f"{p},{q}": str(base / f"rpq_{p}{q}.json") for p, q in ((0, 1), (0, 2), (1, 2))}
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_formula_and_verdict_cannot_share_stdout(consensus_files, capsys, output):
+    """``--phi -`` with the verdict on stdout would write two documents
+    there: a usage error naming both, before any work or output."""
+    code = run_cli(["obstruct", "--protocol", str(consensus_files["proto"]),
+                    "--task", str(consensus_files["task"]), "--mode", "K",
+                    "--phi", "-", *output])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --phi - and the verdict (-o") and "stdout" in err
+
+
 def test_stdin_errors_name_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
     assert run_cli(["update", "--action", "-"]) == 2

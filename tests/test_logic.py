@@ -1,12 +1,17 @@
 """Formula construction, classification, model checking, s-expressions."""
 
+import itertools
 import random
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
 
 import oracles
+from delsim import logic
 from delsim.errors import UsageError
+from delsim.generators import snapshot_run, staircase_setup
 from delsim.logic import (FormulaClass, ModelTable, atom, classify, conj,
                           dag_size, disj, dknow, eval_formula, from_sexp, know,
                           neg, to_sexp, tree_size)
@@ -181,6 +186,83 @@ def test_table_models_share_a_workspace():
                    input_model(standard_workspace(2, (0, 2))))
     with pytest.raises(UsageError):
         ModelTable()
+
+
+def all_groups(n_agents):
+    return [g for k in range(n_agents + 1) for g in itertools.combinations(range(n_agents), k)]
+
+
+def closures_agree(classes, fail_vec):
+    """Every closure of one group's record, those ``close`` does not pick
+    included, marks exactly the classes that meet ``fail_vec``: the ones a
+    numpy reference finds. Returns the closures that ran."""
+    fail = logic._pack(fail_vec)
+    want = logic._pack(np.isin(classes.ids, classes.ids[fail_vec]))
+    kernels = [classes.walk, classes.scatter]
+    if classes.offsets is not None:
+        kernels.append(classes.shifts)
+    for kernel in kernels:
+        assert kernel(fail) == want, kernel.__name__
+    assert classes.close(fail) == want
+    return {kernel.__name__ for kernel in kernels}
+
+
+@pytest.fixture(scope="module")
+def large_models():
+    return {"consensus-k protocol": snapshot_run(standard_workspace(3, (0, 1)), 2).model,
+            "staircase N=512 task": staircase_setup(512).task_run.model}
+
+
+@pytest.mark.parametrize("name, n_facets", [("consensus-k protocol", 1352),
+                                            ("staircase N=512 task", 1025)])
+def test_modal_closures_agree_on_large_models(large_models, name, n_facets):
+    """On random failing sets from empty to full, the shifts (where a group
+    has offsets), the walk and the scatter close alike on every group."""
+    m = large_models[name]
+    assert m.n_facets == n_facets
+    table = ModelTable(m)
+    rng = np.random.default_rng(16)
+    ran = set()
+    for group in all_groups(m.workspace.n_agents):
+        classes = table._group(group)
+        for density in (0, 1 / n_facets, 0.01, 0.2, 0.9, 1):
+            ran |= closures_agree(classes, rng.random(n_facets) < density)
+    assert ran == {"shifts", "walk", "scatter"}
+
+
+def test_offsets_are_bounded_before_pairs_are_enumerated(large_models):
+    """One class of 1025 facets has over 2000 offsets: the record knows it
+    from the class size and never lists the class's pairs. Staircase's pair
+    classes have a few offsets, and the consensus protocol's {a}-classes
+    (up to 36 facets) too many for shifts."""
+    stair = ModelTable(large_models["staircase N=512 task"])
+    with mock.patch.object(logic._Classes, "_offsets") as offsets:
+        assert stair._group(()).offsets is None
+    offsets.assert_not_called()
+    assert all(0 < len(stair._group((a,)).offsets) <= 4 for a in range(2))
+    consensus = ModelTable(large_models["consensus-k protocol"])
+    assert all(consensus._group((a,)).offsets is None for a in range(3))
+    assert all(consensus._group(g).offsets for g in itertools.combinations(range(3), 2))
+
+
+def test_model_table_matches_naive_eval_past_one_word():
+    """K and D over the staircase N=40 task (81 facets: more than 64, not a
+    multiple of 8), alone and side by side with its protocol."""
+    setup = staircase_setup(40)
+    task, protocol = setup.task_run.model, setup.protocol_run.model
+    assert task.n_facets == 81
+    ws = task.workspace
+    rng = random.Random(16)
+    alone, both = ModelTable(task), ModelTable(task, protocol)
+    for _ in range(6):
+        phi = random_formula(rng, ws, 2)
+        for psi in [*(know(a, phi) for a in range(ws.n_agents)),
+                    *(dknow(g, phi) for g in all_groups(ws.n_agents)),
+                    know(0, disj([know(1, phi), neg(phi)]))]:
+            want = [oracles.eval_naive(m, x, psi)
+                    for m in (task, protocol) for x in range(m.n_facets)]
+            assert both.satisfies(psi).tolist() == want
+            assert alone.satisfies(psi).tolist() == want[:task.n_facets]
 
 
 def test_eval_formula_wrapper():

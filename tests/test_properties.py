@@ -249,7 +249,7 @@ def test_model_table_over_two_models_matches_oracle(pair, data):
     second alone, agree with the oracle on each model. Every modal operator
     over each drawn formula, with the models' repeated facets, reaches each
     way a modal step is taken: one-facet classes, one class (``D {}`` on one
-    model) and the scatter over larger classes."""
+    model) and the closure of larger classes."""
     left, right = pair
     n = left.workspace.n_agents
     phis = data.draw(st.lists(formulas(n), min_size=1, max_size=3))
@@ -264,6 +264,29 @@ def test_model_table_over_two_models_matches_oracle(pair, data):
             assert not got.flags.writeable
             assert got.tolist() == want
             assert alone.satisfies(psi).tolist() == want[left.n_facets:]
+
+
+@SETTINGS
+@given(model_pairs(repeats=True), st.data())
+def test_modal_closures_agree(pair, data):
+    """Over one model and over the union of two, each group's shifts, walk
+    and scatter close a drawn failing set to the classes a numpy reference
+    finds it meets. At most 12 facets a model keep every group's offsets
+    within the shifts' bound."""
+    left, right = pair
+    n = left.workspace.n_agents
+    groups = [g for k in range(n + 1) for g in itertools.combinations(range(n), k)]
+    for table in (ModelTable(left), ModelTable(left, right)):
+        k = table.n_facets
+        fail_vec = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)),
+                            dtype=bool)
+        fail = logic._pack(fail_vec)
+        for group in groups:
+            classes = table._group(group)
+            want = logic._pack(np.isin(classes.ids, classes.ids[fail_vec]))
+            assert classes.offsets is not None
+            assert classes.shifts(fail) == classes.walk(fail) == want
+            assert classes.scatter(fail) == classes.close(fail) == want
 
 
 @SETTINGS
