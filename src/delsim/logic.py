@@ -13,14 +13,14 @@ set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 `ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
 truth vectors over all facets of a model (or of several side by side), one
 vector per node, and frees each subformula's vector once its last parent is
-computed. It keeps the vectors of the formulas it was asked about, so memory
-follows the DAG's width, not its size. A vector is a Python int used as a
-bitset, bit i for facet i, so the boolean connectives are one int operation
-each on 14 facets or on 38k. A modal step closes the facets where its
-subformula fails under the group's face classes (`_Classes`): by one shift
-per in-class facet offset when a group's classes have few offsets, by a walk
-over the failing classes when few classes can fail, and otherwise by a numpy
-scatter over the unpacked vector. Only the answer is unpacked.
+computed. It keeps the vectors of the formulas it was asked about, so its
+vectors' memory follows the DAG's width, not its size. A vector is a Python
+int used as a bitset, bit i for facet i, so the boolean connectives are one
+int operation each on 14 facets or on 38k. A modal step closes the facets
+where its subformula fails under the group's face classes (`_Classes`): by
+one shift per in-class facet offset when a group's classes have few
+offsets, and otherwise by a walk over the failing classes. Only the answer
+is unpacked.
 """
 
 from __future__ import annotations
@@ -290,12 +290,11 @@ class ModelTable:
             return self._full ^ live[node.children[0]]
         if kind == AND or kind == OR:
             return reduce(and_ if kind == AND else or_, map(live.__getitem__, node.children))
+        # the group first: it rejects an agent outside the workspace
+        classes = self._group((node.payload,) if kind == K else tuple(sorted(node.payload)))
         child = live[node.children[0]]
         full = self._full
-        if child == full:
-            return child
-        classes = self._group((node.payload,) if kind == K else tuple(sorted(node.payload)))
-        if classes.n_classes == self.n_facets:
+        if child == full or classes.n_classes == self.n_facets:
             return child
         if classes.n_classes == 1:
             return 0
@@ -322,17 +321,14 @@ class ModelTable:
 
 
 # A group whose classes hold more distinct (target - source) facet offsets
-# than this closes its failing facets by the walk or the scatter instead.
+# than this closes its failing facets by the walk instead.
 _MAX_SHIFTS = 32
-# The walk visits one failing class at a time; with more than this many the
-# scatter's one pass over the facets is cheaper.
-_MAX_WALK = 48
 
 
 class _Classes:
-    """One group's face classes over a table's facets, and three ways to
-    close a set of facets ``fail`` (an int bitset) under them: the union of
-    the classes that meet ``fail``.
+    """One group's face classes over a table's facets, and two ways to close
+    a set of facets ``fail`` (an int bitset) under them: the union of the
+    classes that meet ``fail``.
 
     * `shifts`: ``fail | OR_d ((fail & M_d) shifted by d)`` over each
       distinct offset d from a facet to another of its class, where M_d
@@ -342,12 +338,13 @@ class _Classes:
       and ``offsets`` is None when there are more.
     * `walk`: take the highest failing facet, OR in its class, drop that
       class from ``fail`` and repeat; one step per class that meets it.
-    * `scatter`: mark the classes of the unpacked failing facets and read
-      the mark back per facet.
+      Each class's mask is kept once made, for the record's life: at most
+      one int per class, 221 MB for every class of the W5 D verification
+      table's walking groups (69746 classes over 37780 facets). Building
+      the mask at each step instead was 1.5-3 times slower.
 
     `close` takes the shifts where there are fewer offsets than two per
-    class, else the walk when few classes can meet ``fail``, else the
-    scatter.
+    class, else the walk.
     """
 
     def __init__(self, ids: np.ndarray, order: np.ndarray, starts: np.ndarray):
@@ -381,13 +378,11 @@ class _Classes:
 
     def close(self, fail: int) -> int:
         """The facets sharing a class with some facet of ``fail``."""
-        # a walk's step costs about two shifts, and the walk takes at most
-        # one step per class
+        # with up to four offsets per class the shifts lost to the walk on
+        # consensus-k's task (BENCH_16.json, "sweep")
         if self.offsets is not None and len(self.offsets) < 2 * self.n_classes:
             return self.shifts(fail)
-        if self.n_classes <= _MAX_WALK or fail.bit_count() <= _MAX_WALK:
-            return self.walk(fail)
-        return self.scatter(fail)
+        return self.walk(fail)
 
     def shifts(self, fail: int) -> int:
         closed = fail
@@ -412,11 +407,6 @@ class _Classes:
             closed |= mask
             fail ^= fail & mask
         return closed
-
-    def scatter(self, fail: int) -> int:
-        hit = np.zeros(self.n_classes, dtype=bool)
-        hit[self.ids[_unpack(fail, self.n_facets)]] = True
-        return _pack(hit[self.ids])
 
 
 def _pack(vec: np.ndarray) -> int:

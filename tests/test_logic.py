@@ -139,6 +139,16 @@ def test_unknown_atom_rejected():
         ModelTable(m).satisfies(atom(5, 0))
 
 
+@pytest.mark.parametrize("build", [lambda f: know(7, f), lambda f: dknow([0, 7], f)],
+                         ids=["K", "D"])
+def test_modal_agent_outside_workspace_rejected_over_a_tautology(build):
+    """A step whose subformula holds everywhere still checks its group."""
+    m = input_model(standard_workspace(2, (0, 1)))
+    p = atom(0, 1)
+    with pytest.raises(UsageError, match="agent 7 out of range"):
+        ModelTable(m).satisfies(build(disj([p, neg(p)])))
+
+
 def test_table_reads_each_group_once(snap1_2, agree1_2):
     """``K a`` and ``D {a}`` share the group {a}, and ``D`` groups compare as
     sets, so a table asks each model for one group's classes once."""
@@ -198,7 +208,7 @@ def closures_agree(classes, fail_vec):
     numpy reference finds. Returns the closures that ran."""
     fail = logic._pack(fail_vec)
     want = logic._pack(np.isin(classes.ids, classes.ids[fail_vec]))
-    kernels = [classes.walk, classes.scatter]
+    kernels = [classes.walk]
     if classes.offsets is not None:
         kernels.append(classes.shifts)
     for kernel in kernels:
@@ -217,7 +227,7 @@ def large_models():
                                             ("staircase N=512 task", 1025)])
 def test_modal_closures_agree_on_large_models(large_models, name, n_facets):
     """On random failing sets from empty to full, the shifts (where a group
-    has offsets), the walk and the scatter close alike on every group."""
+    has offsets) and the walk close alike on every group."""
     m = large_models[name]
     assert m.n_facets == n_facets
     table = ModelTable(m)
@@ -227,7 +237,7 @@ def test_modal_closures_agree_on_large_models(large_models, name, n_facets):
         classes = table._group(group)
         for density in (0, 1 / n_facets, 0.01, 0.2, 0.9, 1):
             ran |= closures_agree(classes, rng.random(n_facets) < density)
-    assert ran == {"shifts", "walk", "scatter"}
+    assert ran == {"shifts", "walk"}
 
 
 def test_offsets_are_bounded_before_pairs_are_enumerated(large_models):

@@ -269,10 +269,10 @@ def test_model_table_over_two_models_matches_oracle(pair, data):
 @SETTINGS
 @given(model_pairs(repeats=True), st.data())
 def test_modal_closures_agree(pair, data):
-    """Over one model and over the union of two, each group's shifts, walk
-    and scatter close a drawn failing set to the classes a numpy reference
-    finds it meets. At most 12 facets a model keep every group's offsets
-    within the shifts' bound."""
+    """Over one model and over the union of two, each group's shifts and
+    walk close a drawn failing set to the classes a numpy reference finds
+    it meets. At most 12 facets a model keep every group's offsets within
+    the shifts' bound."""
     left, right = pair
     n = left.workspace.n_agents
     groups = [g for k in range(n + 1) for g in itertools.combinations(range(n), k)]
@@ -285,8 +285,7 @@ def test_modal_closures_agree(pair, data):
             classes = table._group(group)
             want = logic._pack(np.isin(classes.ids, classes.ids[fail_vec]))
             assert classes.offsets is not None
-            assert classes.shifts(fail) == classes.walk(fail) == want
-            assert classes.scatter(fail) == classes.close(fail) == want
+            assert classes.shifts(fail) == classes.walk(fail) == classes.close(fail) == want
 
 
 @SETTINGS
