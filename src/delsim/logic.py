@@ -10,17 +10,24 @@ The language is atoms ip_a^v, negation, finite conjunction/disjunction,
 individual knowledge ``K a``, and distributed knowledge ``D A`` for an agent
 set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 
+Each node keeps a walk plan, made the first time it is needed (`_plan`):
+its DAG in postorder and the schedule by which a query frees each child's
+vector after its last parent. The plan depends on no model, so the model
+checker, the writer and the size functions all read the one plan, and a
+formula's DAG is walked once however often it is checked, written or
+measured. The plan lives as long as the interned node.
+
 `ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
 truth vectors over all facets of a model (or of several side by side), one
-vector per node, and frees each subformula's vector once its last parent is
-computed. It keeps the vectors of the formulas it was asked about, so its
-vectors' memory follows the DAG's width, not its size. A vector is a Python
-int used as a bitset, bit i for facet i, so the boolean connectives are one
-int operation each on 14 facets or on 38k. A modal step closes the facets
-where its subformula fails under the group's face classes (`_Classes`): by
-one shift per in-class facet offset when a group's classes have few
-offsets, and otherwise by a walk over the failing classes. Only the answer
-is unpacked.
+vector per node in the plan's order, and frees each subformula's vector by
+the plan's schedule. It keeps the vectors of the formulas it was asked
+about, so its vectors' memory follows the DAG's width, not its size. A
+vector is a Python int used as a bitset, bit i for facet i, so the boolean
+connectives are one int operation each on 14 facets or on 38k. A modal step
+closes the facets where its subformula fails under the group's face classes
+(`_Classes`): by one shift per in-class facet offset when a group's classes
+have few offsets, and otherwise by a walk over the failing classes. Only
+the answer is unpacked.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from array import array
 from collections import Counter
 from functools import reduce
 from itertools import chain, repeat
@@ -61,7 +69,7 @@ _NON_POSITIVE, _HAS_OR, _HAS_D, _HAS_WIDE_D = 1, 2, 4, 8
 class Formula:
     """One interned node. Do not instantiate directly; use the factories."""
 
-    __slots__ = ("kind", "payload", "children", "degree", "flags")
+    __slots__ = ("kind", "payload", "children", "degree", "flags", "_plan")
 
     def __init__(self, kind, payload, children):
         self.kind = kind
@@ -82,6 +90,7 @@ class Formula:
                 degree = c.degree
         self.flags = flags
         self.degree = degree + 1 if kind == K or kind == D else degree
+        self._plan = None
 
     positive = property(lambda self: not self.flags & _NON_POSITIVE,
                         doc="Negation only on atoms.")
@@ -91,7 +100,12 @@ class Formula:
                           doc="Some ``D`` over a group of other than one agent.")
 
     def __repr__(self):
-        return f"<Formula {to_sexp(self, share=False) if tree_size(self) < 80 else self.kind}>"
+        # count the expanded tree only as far as the bound, and make no plan
+        n, stack = 0, [self]
+        while stack and n < 80:
+            n += 1
+            stack.extend(stack.pop().children)
+        return f"<Formula {_write(self, {}) if n < 80 else self.kind}>"
 
 
 _INTERNED: dict[tuple, Formula] = {}
@@ -171,21 +185,38 @@ def classify(f: Formula) -> FormulaClass:
 
 
 def dag_size(f: Formula) -> int:
-    return len(_postorder(f))
+    return len(_plan(f)[0])
 
 
 def tree_size(f: Formula) -> int:
     """Node count of the fully expanded tree (can be exponentially larger
     than the DAG; exact big-int arithmetic)."""
     sizes: dict[Formula, int] = {}
-    for node in _postorder(f):
+    for node in _plan(f)[0]:
         sizes[node] = 1 + sum(sizes[c] for c in node.children)
     return sizes[f]
 
 
-def _postorder(f: Formula, held=()) -> list[Formula]:
-    """Every node under ``f`` after its children, depth first. Nodes in
-    ``held`` (other than ``f``) are neither entered nor listed."""
+def _plan(f: Formula) -> tuple[list[Formula], list[Formula], array]:
+    """``f``'s walk plan, made on first use and kept on ``f``: ``order``, the
+    nodes of its DAG in postorder; ``dying``, every node but ``f`` in the
+    order of its last use; and ``ends``, where ``ends[j]`` is the position
+    in ``order`` of ``dying[j]``'s last parent, then -1."""
+    plan = f._plan
+    if plan is None:
+        order = _postorder(f)
+        kids = list(map(attrgetter("children"), order))
+        last = dict(zip(chain.from_iterable(kids),
+                        chain.from_iterable(map(repeat, range(len(order)),
+                                                map(len, kids)))))
+        ends = array("i", sorted(last.values()))
+        ends.append(-1)
+        plan = f._plan = (order, sorted(last, key=last.__getitem__), ends)
+    return plan
+
+
+def _postorder(f: Formula) -> list[Formula]:
+    """Every node under ``f`` after its children, depth first."""
     out: list[Formula] = []
     seen: set[Formula] = set()
     stack: list[tuple[Formula, bool]] = [(f, False)]
@@ -199,7 +230,7 @@ def _postorder(f: Formula, held=()) -> list[Formula]:
         else:
             stack.append((node, True))
             for c in node.children:
-                if c not in seen and c not in held:
+                if c not in seen:
                     stack.append((c, False))
     return out
 
@@ -217,10 +248,13 @@ class ModelTable:
     fold ``&``/``|`` over the children, one operation each whatever the
     number of facets. The table keeps the vector of each formula it was
     asked about, packed and unpacked, and a later query returns that same
-    array or reads it as a leaf. Other subformulas' vectors live only while
-    a query runs: each is freed once its last parent in the postorder is
-    computed, so a query holds the DAG's widest cut of vectors, not one per
-    node. A query that raises keeps nothing.
+    array. A query walks the formula's plan (`_plan`), which is the same for
+    every table: where the walk reaches a formula the table holds it reads
+    that formula's bits instead of computing them, but the nodes below it
+    are still computed, not skipped. Other subformulas' vectors live only
+    while a query runs: each is freed once its last parent in the postorder
+    is computed, so a query holds the DAG's widest cut of vectors, not one
+    per node. A query that raises keeps nothing.
 
     ``D A phi`` holds at X iff phi holds at every facet of X's model sharing
     X's A-face (every facet of X's model when A is empty), and ``K a phi``
@@ -249,20 +283,12 @@ class ModelTable:
         held = vals.get(f)
         if held is not None:
             return held[1]
-        order = _postorder(f, vals)
-        kids = list(map(attrgetter("children"), order))
-        # each child's last use: the position of its last parent in ``order``
-        last = dict(zip(chain.from_iterable(kids),
-                        chain.from_iterable(map(repeat, range(len(order)),
-                                                map(len, kids)))))
-        # children in order of last use, and those positions (-1 ends them)
-        dying = sorted(last, key=last.__getitem__)
-        ends = sorted(last.values())
-        ends.append(-1)
-        live = {c: vals[c][0] for c in last.keys() & vals.keys()}
+        order, dying, ends = _plan(f)
+        live: dict[Formula, int] = {}
         j = 0
         for i, node in enumerate(order):
-            live[node] = self._compute(node, live)
+            held = vals.get(node)
+            live[node] = self._compute(node, live) if held is None else held[0]
             while ends[j] == i:
                 del live[dying[j]]
                 j += 1
@@ -440,15 +466,16 @@ _EXPAND_GUARD = 10_000_000
 
 def to_sexp(f: Formula, share: bool = True) -> str:
     """Serialize. With ``share`` (default) nodes referenced more than once are
-    bound in a ``(let ((x0 ...) ...) body)`` prefix, preserving the DAG;
-    without it the tree is written out (guarded at 10^7 nodes)."""
+    bound in a ``(let ((x0 ...) ...) body)`` prefix, preserving the DAG, and
+    named in the order of ``f``'s plan; without it the tree is written out
+    (guarded at 10^7 nodes)."""
     if not share:
         if tree_size(f) > _EXPAND_GUARD:
             raise UsageError(
                 f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
         return _write(f, {})
-    order = _postorder(f)
-    refs = Counter(c for node in order for c in node.children)
+    order = _plan(f)[0]
+    refs = Counter(chain.from_iterable(map(attrgetter("children"), order)))
     names: dict[Formula, str] = {}
     bindings: list[str] = []
     for node in order:

@@ -236,6 +236,24 @@ def eval_naive(model, facet: int, f) -> bool:
     return go(facet, f)
 
 
+def dag_nodes_naive(f, found=None) -> set:
+    """Every node reachable from ``f``, by recursion."""
+    if found is None:
+        found = set()
+    if f not in found:
+        found.add(f)
+        for c in f.children:
+            dag_nodes_naive(c, found)
+    return found
+
+
+def last_parents_naive(order: list) -> dict:
+    """For each node that is some node's child in ``order``, the largest
+    position in ``order`` of a node among whose children it is."""
+    return {c: max(i for i, p in enumerate(order) if c in p.children)
+            for c in order if any(c in p.children for p in order)}
+
+
 def classify_naive(f) -> dict:
     """Modal depth, the syntactic flags and the language class of ``f``, by
     recursion over the tree: positive means negation only on atoms, a wide

@@ -330,13 +330,36 @@ def test_sexp_nested_let_shadows_and_closes():
     assert from_sexp(text) is conj([atom(1, 1), atom(0, 0)])
 
 
-@pytest.mark.parametrize("share", [True, False])
-def test_sexp_round_trips_deep_nesting(share):
-    # deeper than the interpreter's recursion limit
+def deep_k_chain():
+    """K 0 nested 5000 deep over one atom: deeper than the interpreter's
+    recursion limit."""
     f = atom(0, 0)
     for _ in range(5000):
         f = know(0, f)
+    return f
+
+
+@pytest.mark.parametrize("share", [True, False])
+def test_sexp_round_trips_deep_nesting(share):
+    f = deep_k_chain()
     assert from_sexp(to_sexp(f, share=share)) is f
+
+
+def test_repr_counts_a_bounded_tree_and_leaves_no_plan(monkeypatch):
+    """``repr`` prints a formula whose expanded tree has fewer than 80
+    nodes and only the head kind of a larger one; it stops counting at the
+    bound, without walking the DAG or keeping a walk plan on the node."""
+    monkeypatch.setattr(logic, "_INTERNED", {})  # nodes of this test's own
+    f = deep_k_chain()
+
+    def walk(*args):
+        raise AssertionError("repr walked the DAG")
+
+    monkeypatch.setattr(logic, "_postorder", walk)
+    assert repr(f) == "<Formula K>"
+    small = know(0, conj([atom(0, 0), atom(1, "a")]))
+    assert repr(small) == '<Formula (K 0 (and (atom 0 0) (atom 1 "a")))>'
+    assert f._plan is None and small._plan is None
 
 
 # Payloads are interned by equality, and True == 1 == 1.0: each spelling

@@ -1,15 +1,17 @@
 """Characteristic formulas, simulation duality, obstruction decisions."""
 
 import hashlib
+import json
 import tracemalloc
 
 import pytest
 
 import oracles
+from delsim import logic, serialize
 from delsim.errors import UsageError
 from delsim.generators import staircase_setup
-from delsim.logic import (FormulaClass, ModelTable, atom, classify, dag_size, neg,
-                          to_sexp)
+from delsim.logic import (FormulaClass, ModelTable, atom, classify, dag_size,
+                          from_sexp, neg, to_sexp, tree_size)
 from delsim.models import find_morphism, input_model, standard_workspace
 from delsim.obstruction import (characteristic_formula, characteristic_formulas,
                                 decide_obstruction, verify_obstruction)
@@ -159,6 +161,26 @@ def test_model_check_memory_follows_the_dag_width(stair256, mode):
             tracemalloc.stop()
     assert vec.all()
     assert peak < dag_size(phi) * task.n_facets / 2, (peak, dag_size(phi))
+
+
+def test_an_obstruction_dag_is_walked_once(snap1_2, agree1_2, monkeypatch):
+    """The verdict, the writer, the reader, re-checks on fresh tables of
+    reloaded models and both size functions all read the one walk plan that
+    the first of them leaves on phi, so phi's DAG is walked once."""
+    monkeypatch.setattr(logic, "_INTERNED", {})  # phi built anew, with no plan
+    walked = []
+    postorder = logic._postorder
+    monkeypatch.setattr(logic, "_postorder",
+                        lambda f, *args: walked.append(f) or postorder(f, *args))
+    verdict = decide_obstruction(snap1_2.model, agree1_2.model, "K")
+    phi = verdict.phi
+    assert from_sexp(to_sexp(phi)) is phi
+    task, protocol = (serialize.model_from_json(json.loads(
+        serialize.dumps(serialize.model_to_json(m)))) for m in (agree1_2.model, snap1_2.model))
+    assert ModelTable(task).satisfies(phi).all()
+    assert not ModelTable(protocol).check(verdict.witness, phi)
+    assert 1 < dag_size(phi) <= tree_size(phi)
+    assert walked.count(phi) == 1
 
 
 def test_verify_obstruction_rejects_non_positive(snap1_2, agree1_2):

@@ -5,8 +5,9 @@ of S_0, ``refine`` and ``verify`` on arbitrary relations (``verify``'s
 counterexamples included), the counters' unmet obligations after
 subtraction, model checking of K and D formulas (also over
 two models in one table, and one table asked about subformulas before and
-after their superformula with failing queries in between), formula flags
-against a recursive classifier, the duality between characteristic
+after their superformula with failing queries in between), the formula
+walk plan against a naive last-use schedule, formula flags against a
+recursive classifier, the duality between characteristic
 formulas and the chain, morphism search against plain enumeration (and the
 equal atoms of D-fixpoint pairs that its domains rely on), and the product
 update with random actions against its definition. Also the s-expression round trip over random
@@ -319,6 +320,23 @@ def test_one_table_answers_mixed_queries(data):
         assert got.tolist() == [oracles.eval_naive(model, x, psi)
                                 for x in range(model.n_facets)]
     assert table._vals.keys() == answers.keys()
+
+
+@SETTINGS
+@given(N_AGENTS.flatmap(formulas))
+def test_walk_plan_matches_naive_schedule(phi):
+    """The plan lists each node of phi's DAG once, every child before its
+    parents, and frees each node but phi exactly once, right after its last
+    parent: the schedule runs in order of position and ends with -1."""
+    order, dying, ends = logic._plan(phi)
+    at = {node: i for i, node in enumerate(order)}
+    assert len(at) == len(order) and at.keys() == oracles.dag_nodes_naive(phi)
+    assert all(at[c] < i for i, node in enumerate(order) for c in node.children)
+    last = oracles.last_parents_naive(order)
+    assert len(dying) == len(last) and set(dying) == last.keys() == at.keys() - {phi}
+    assert list(ends) == [last[c] for c in dying] + [-1]
+    assert list(ends[:-1]) == sorted(ends[:-1])
+    assert logic._plan(phi) is logic._plan(phi)
 
 
 @SETTINGS
