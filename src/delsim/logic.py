@@ -12,16 +12,20 @@ set A (``D {a}`` coincides with ``K a``; ``D {}`` is the global modality).
 
 Each node keeps a walk plan, made the first time it is needed (`_plan`):
 its DAG in postorder and the schedule by which a query frees each child's
-vector after its last parent. The plan depends on no model, so the model
-checker, the writer and the size functions all read the one plan, and a
-formula's DAG is walked once however often it is checked, written or
-measured. The plan lives as long as the interned node.
+vector after its last parent. The plan depends on no model, so the writer,
+the size functions and every query on a fresh model table read the one
+plan, and a formula's DAG is walked once however often it is checked on
+fresh tables, written or measured. The plan lives as long as the interned
+node.
 
 `ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
 truth vectors over all facets of a model (or of several side by side), one
-vector per node in the plan's order, and frees each subformula's vector by
-the plan's schedule. It keeps the vectors of the formulas it was asked
-about, so its vectors' memory follows the DAG's width, not its size. A
+vector per node in postorder, and frees each subformula's vector after its
+last parent. It keeps the vectors of the formulas it was asked about, so
+its vectors' memory follows the DAG's width, not its size. A table that
+holds no formula yet reads the formula's plan; one that holds some walks
+only the nodes above them and keeps no plan, so asking one table about
+nested formulas one at a time does not walk the inner ones again. A
 vector is a Python int used as a bitset, bit i for facet i, so the boolean
 connectives are one int operation each on 14 facets or on 38k. A modal step
 closes the facets where its subformula fails under the group's face classes
@@ -37,7 +41,7 @@ import json
 import re
 from array import array
 from collections import Counter
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import and_, attrgetter, or_
 from typing import Iterable
@@ -199,24 +203,31 @@ def tree_size(f: Formula) -> int:
 
 def _plan(f: Formula) -> tuple[list[Formula], list[Formula], array]:
     """``f``'s walk plan, made on first use and kept on ``f``: ``order``, the
-    nodes of its DAG in postorder; ``dying``, every node but ``f`` in the
-    order of its last use; and ``ends``, where ``ends[j]`` is the position
-    in ``order`` of ``dying[j]``'s last parent, then -1."""
+    nodes of its DAG in postorder, then its `_schedule`."""
     plan = f._plan
     if plan is None:
         order = _postorder(f)
-        kids = list(map(attrgetter("children"), order))
-        last = dict(zip(chain.from_iterable(kids),
-                        chain.from_iterable(map(repeat, range(len(order)),
-                                                map(len, kids)))))
-        ends = array("i", sorted(last.values()))
-        ends.append(-1)
-        plan = f._plan = (order, sorted(last, key=last.__getitem__), ends)
+        plan = f._plan = (order, *_schedule(order))
     return plan
 
 
-def _postorder(f: Formula) -> list[Formula]:
-    """Every node under ``f`` after its children, depth first."""
+def _schedule(order: list[Formula]) -> tuple[list[Formula], array]:
+    """The last-use schedule of a postorder: ``dying``, every child of a node
+    in ``order`` in the order of its last use, and ``ends``, where
+    ``ends[j]`` is the position in ``order`` of ``dying[j]``'s last parent,
+    then -1."""
+    kids = list(map(attrgetter("children"), order))
+    last = dict(zip(chain.from_iterable(kids),
+                    chain.from_iterable(map(repeat, range(len(order)),
+                                            map(len, kids)))))
+    ends = array("i", sorted(last.values()))
+    ends.append(-1)
+    return sorted(last, key=last.__getitem__), ends
+
+
+def _postorder(f: Formula, held=()) -> list[Formula]:
+    """Every node under ``f`` after its children, depth first. Nodes in
+    ``held`` (other than ``f``) are neither entered nor listed."""
     out: list[Formula] = []
     seen: set[Formula] = set()
     stack: list[tuple[Formula, bool]] = [(f, False)]
@@ -230,7 +241,7 @@ def _postorder(f: Formula) -> list[Formula]:
         else:
             stack.append((node, True))
             for c in node.children:
-                if c not in seen:
+                if c not in seen and c not in held:
                     stack.append((c, False))
     return out
 
@@ -248,13 +259,13 @@ class ModelTable:
     fold ``&``/``|`` over the children, one operation each whatever the
     number of facets. The table keeps the vector of each formula it was
     asked about, packed and unpacked, and a later query returns that same
-    array. A query walks the formula's plan (`_plan`), which is the same for
-    every table: where the walk reaches a formula the table holds it reads
-    that formula's bits instead of computing them, but the nodes below it
-    are still computed, not skipped. Other subformulas' vectors live only
-    while a query runs: each is freed once its last parent in the postorder
-    is computed, so a query holds the DAG's widest cut of vectors, not one
-    per node. A query that raises keeps nothing.
+    array. While the table holds no formula, a query walks the formula's
+    plan (`_plan`), the same for every table. Once it holds some, a query
+    walks the formula's DAG afresh, keeps no plan, and skips the subtree of
+    every formula the table holds, reading its bits as a leaf. Other subformulas' vectors live only while
+    a query runs: each is freed once its last parent in the postorder is
+    computed, so a query holds the DAG's widest cut of vectors, not one per
+    node. A query that raises keeps nothing.
 
     ``D A phi`` holds at X iff phi holds at every facet of X's model sharing
     X's A-face (every facet of X's model when A is empty), and ``K a phi``
@@ -276,6 +287,9 @@ class ModelTable:
         self._full = (1 << self.n_facets) - 1
         self._vals: dict[Formula, tuple[int, np.ndarray]] = {}
         self._classes: dict[tuple[int, ...], _Classes] = {}
+        # the same records by modal payload, K's agent or D's agent set, so a
+        # modal step neither builds nor sorts its group
+        self._modal: dict[int | frozenset, _Classes] = {}
 
     def satisfies(self, f: Formula) -> np.ndarray:
         """Read-only boolean vector: entry i <=> formula holds at facet i."""
@@ -283,12 +297,19 @@ class ModelTable:
         held = vals.get(f)
         if held is not None:
             return held[1]
-        order, dying, ends = _plan(f)
-        live: dict[Formula, int] = {}
+        if vals:
+            # stop at the formulas held and keep no plan: a whole-DAG plan
+            # would recompute their subtrees at every query
+            order = _postorder(f, vals)
+            dying, ends = _schedule(order)
+            live = {c: vals[c][0] for c in vals.keys() & dying}
+        else:
+            order, dying, ends = _plan(f)
+            live = {}
+        compute = self._compute
         j = 0
         for i, node in enumerate(order):
-            held = vals.get(node)
-            live[node] = self._compute(node, live) if held is None else held[0]
+            live[node] = compute(node, live)
             while ends[j] == i:
                 del live[dying[j]]
                 j += 1
@@ -317,7 +338,11 @@ class ModelTable:
         if kind == AND or kind == OR:
             return reduce(and_ if kind == AND else or_, map(live.__getitem__, node.children))
         # the group first: it rejects an agent outside the workspace
-        classes = self._group((node.payload,) if kind == K else tuple(sorted(node.payload)))
+        payload = node.payload
+        classes = self._modal.get(payload)
+        if classes is None:
+            classes = self._modal[payload] = self._group(
+                (payload,) if kind == K else tuple(sorted(payload)))
         child = live[node.children[0]]
         full = self._full
         if child == full or classes.n_classes == self.n_facets:
@@ -489,6 +514,13 @@ def to_sexp(f: Formula, share: bool = True) -> str:
     return f"(let ({' '.join(bindings)}) {body})"
 
 
+# one text per agent set: an obstruction has thousands of D nodes over a
+# few groups
+@lru_cache(maxsize=256)
+def _d_head(group: frozenset) -> str:
+    return f"(D ({' '.join(map(str, sorted(group)))}) "
+
+
 def _write(f: Formula, names: dict[Formula, str]) -> str:
     # An explicit stack of nodes still to write and text to emit after them,
     # so nesting depth is not bounded by the interpreter's recursion limit.
@@ -510,8 +542,7 @@ def _write(f: Formula, names: dict[Formula, str]) -> str:
         if item.kind == K:
             out.append(f"(K {item.payload} ")
         elif item.kind == D:
-            group = " ".join(str(a) for a in sorted(item.payload))
-            out.append(f"(D ({group}) ")
+            out.append(_d_head(item.payload))
         else:
             out.append(f"({item.kind} ")
         stack.append(")")
@@ -546,8 +577,9 @@ def from_sexp(text: str) -> Formula:
     shift-reduce pass: ``(`` pushes a list that starts with the token after
     it, other tokens are appended to the innermost list, and ``)`` pops it
     and reduces it through the node builders into its parent; a D group
-    stays a list. A binding ``(name φ)`` binds any token as ``name`` in a
-    scope that opens with its let's binding list and closes with the let.
+    reduces to its agent set, read once per spelling. A binding ``(name φ)``
+    binds any token as ``name`` in a scope that opens with its let's
+    binding list and closes with the let.
     Where a form lacks its one subformula any token is a name, ``)`` too,
     looked up when its list reduces. Other texts raise `UsageError`."""
     tokens = _tokenize(text)
@@ -555,6 +587,7 @@ def from_sexp(text: str) -> Formula:
         raise UsageError("empty formula")
     env: dict[str, Formula] = {}
     scopes: list[dict[str, Formula]] = []
+    groups: dict[tuple[str, ...], frozenset] = {}
 
     def look(p) -> Formula:
         f = p if type(p) is Formula else env.get(p)
@@ -592,10 +625,13 @@ def from_sexp(text: str) -> Formula:
                 node = atom(_scalar(cur[1]), _scalar(cur[2], value=True))
             elif head == NOT and n == 2:
                 node = neg(look(cur[1]))
-            elif head == D and n == 3 and type(cur[1]) is list:
+            elif head == D and n == 3 and type(cur[1]) is frozenset:
                 node = dknow(cur[1], look(cur[2]))
             elif head == _GROUP:
-                node = [_scalar(t) for t in cur[1:]]
+                spelled = tuple(cur[1:])
+                node = groups.get(spelled)
+                if node is None:
+                    node = groups[spelled] = frozenset(map(_scalar, spelled))
             elif head == _BINDING and n == 3:
                 env[cur[1]] = look(cur[2])
                 cur = stack[-1]

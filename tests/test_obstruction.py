@@ -183,6 +183,31 @@ def test_an_obstruction_dag_is_walked_once(snap1_2, agree1_2, monkeypatch):
     assert walked.count(phi) == 1
 
 
+def test_one_table_walks_nested_formulas_above_what_it_holds(monkeypatch):
+    """Asked about every level of staircase N=32's characteristic formulas
+    one at a time, as `assert_duality` asks, a table walks only the nodes
+    above the formulas it holds and keeps a walk plan on none but the first
+    it was asked about: walking each level's whole DAG would list every
+    node once per level above it."""
+    monkeypatch.setattr(logic, "_INTERNED", {})  # no plans from earlier tests
+    s = staircase_setup(32)
+    left, right = s.protocol_run.model, s.task_run.model
+    phis = characteristic_formulas(
+        left, "K", SimulationEngine(left, right).chain("K").stabilized_at)
+    postorder, walks = logic._postorder, []
+    monkeypatch.setattr(logic, "_postorder",
+                        lambda f, *args: walks.append(postorder(f, *args)) or walks[-1])
+    table = ModelTable(right)
+    asked = [phi for level in phis for phi in level]
+    for phi in asked:
+        held, n_walks = set(table._vals), len(walks)
+        table.satisfies(phi)
+        assert all(held.isdisjoint(walk) for walk in walks[n_walks:])
+    nodes = set().union(*map(postorder, asked))
+    assert sum(map(len, walks)) < 2 * len(nodes)
+    assert {phi for phi in asked if phi._plan is not None} == {asked[0]}
+
+
 def test_verify_obstruction_rejects_non_positive(snap1_2, agree1_2):
     from delsim.logic import know
     with pytest.raises(UsageError):
