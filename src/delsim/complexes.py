@@ -49,6 +49,44 @@ def intern_ids(keys: Iterable, ids: dict) -> list[int]:
     return [ids.setdefault(key, len(ids)) for key in keys]
 
 
+def first_appearance_ids(table) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`intern_ids` for the rows of a 2-D int array, in bulk.
+
+    Returns ``(ids, first)``: ``ids[i]`` is row i's id, dense and numbered
+    by first appearance, and ``first[c]`` the index of the first row with
+    id c (so ``first`` increases). Each row is read as one mixed-radix key,
+    column by column: a column spanning fewer values than there are rows is
+    a digit as it is, a wider one is re-ranked first, and the key is
+    re-ranked whenever the next digit could take it past 2**62. So the key
+    is exact for any entries, and needs no sort while it stays small.
+    """
+    table = np.asarray(table)
+    rows = len(table)
+    if not rows:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    key = np.zeros(rows, dtype=np.int64)
+    span = 1  # every key lies in range(span)
+    for column in table.T:
+        lo, hi = int(column.min()), int(column.max())
+        if hi - lo < rows:
+            digit, width = column - lo, hi - lo + 1
+        else:
+            _, digit = np.unique(column, return_inverse=True)
+            width = int(digit.max()) + 1
+        if span * width > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * width + digit
+        span *= width
+    _, ids = np.unique(key, return_inverse=True)
+    first = np.full(int(ids.max()) + 1, rows, dtype=np.intp)
+    np.minimum.at(first, ids, np.arange(rows))
+    order = np.argsort(first)
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(len(order))
+    return renumber[ids], first[order]
+
+
 class ChromaticComplex:
     """Vertices plus facets; inclusion-closure is implicit.
 
@@ -132,6 +170,18 @@ class ChromaticComplex:
                 for row in shared]
 
 
+def _vertex_faults(color, atoms: frozenset, n_agents: int) -> list[str]:
+    faults = []
+    if not 0 <= color < n_agents:
+        faults.append(f"color {color} out of range")
+    for pair in atoms:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            faults.append(f"malformed atom {pair!r}")
+        elif pair[0] != color:
+            faults.append(f"atom for agent {pair[0]} on a color-{color} vertex")
+    return faults
+
+
 def validate_complex(c: ChromaticComplex) -> list[str]:
     """All invariant violations, as human-readable strings (empty = valid).
 
@@ -140,15 +190,14 @@ def validate_complex(c: ChromaticComplex) -> list[str]:
     ``facet_table``, only the rows with a repeated color are walked.
     """
     problems = []
-    for v in c.vertices:
-        if not 0 <= v.color < c.n_agents:
-            problems.append(f"vertex {v.id}: color {v.color} out of range")
-        for pair in v.atoms:
-            if not (isinstance(pair, tuple) and len(pair) == 2):
-                problems.append(f"vertex {v.id}: malformed atom {pair!r}")
-            elif pair[0] != v.color:
-                problems.append(
-                    f"vertex {v.id}: atom for agent {pair[0]} on a color-{v.color} vertex")
+    # a vertex's own faults depend on its color and label alone: each distinct
+    # pair is checked once, and the vertices are walked only if one is bad
+    kinds = [(v.color, v.atoms) for v in c.vertices]
+    faults = {kind: found for kind in dict.fromkeys(kinds)
+              if (found := _vertex_faults(*kind, c.n_agents))}
+    if faults:
+        for v, kind in zip(c.vertices, kinds):
+            problems += [f"vertex {v.id}: {fault}" for fault in faults.get(kind, ())]
     table = c.facet_table
     suspects: Iterable[int] = range(c.n_facets)
     if table is not None and table.shape[1] == c.n_agents:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .complexes import ChromaticComplex, Vertex, intern_ids
+from .complexes import ChromaticComplex, Vertex, first_appearance_ids, intern_ids
 from .errors import InternalConsistencyError, UsageError
 from .logic import Formula, atom, conj, disj, neg
 from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
@@ -141,11 +141,17 @@ def snapshot_action(workspace: Workspace, rounds: int,
     """Build the r-round snapshot action. ``inputs`` restricts generation to a
     single input assignment (for figure-scale runs); default is all of them.
 
-    Built round by round, as the iterated chromatic subdivision: a round-r
-    vertex is interned as its agent and its stage's round-(r-1) vertex ids,
-    walking the schedule product prefix by prefix. Each vertex's nested view
-    (:func:`compute_view`'s) is built once; vertex and facet ids follow first
-    appearance in (inputs, schedules, agent) order.
+    Built round by round, as the iterated chromatic subdivision, one int
+    table per round. A run of r rounds is an input assignment and r
+    schedules; ``runs`` holds each run's vertex ids by agent, runs in
+    lexicographic (inputs, schedules) order. Round r has a key row per
+    (run of r-1 rounds, schedule, agent), in that order: the agent, then
+    each agent's round-(r-1) id where that agent is in its stage, -1
+    elsewhere. Interning the rows by first appearance gives the round's
+    vertex ids, and at the last round interning the runs' rows gives the
+    facets. Each new vertex's nested view (:func:`compute_view`'s) is built
+    once, from its first row; vertex and facet ids follow first appearance
+    in (inputs, schedules, agent) order.
     """
     if rounds < 1:
         raise UsageError("need at least one round")
@@ -154,58 +160,53 @@ def snapshot_action(workspace: Workspace, rounds: int,
         inputs = tuple(inputs)
         if len(inputs) != n or any(v not in workspace.value_set for v in inputs):
             raise UsageError(f"inputs must assign a workspace value to each of {n} agents")
-        assignments: Iterable[tuple[Value, ...]] = [inputs]
+        assignments = [inputs]
     else:
-        assignments = itertools.product(workspace.values, repeat=n)
+        assignments = list(itertools.product(workspace.values, repeat=n))
     parts = ordered_partitions(n)
-    stages = [[tuple(sorted(g.stage_of(a))) for a in range(n)] for g in parts]
+    # in_stage[g, a, p]: p is in a's stage of schedule g
+    in_stage = np.array([[[p in g.stage_of(a) for p in range(n)] for a in range(n)]
+                         for g in parts])
+    agents = np.arange(n)
 
-    # per round r: vertex key -> id, and each id's (agent, nested view); a
-    # round-0 key is (agent, input), a round-r key (agent, stage's r-1 ids)
-    ids: list[dict] = [{} for _ in range(rounds + 1)]
-    seen: list[list[tuple[int, View]]] = [[] for _ in range(rounds + 1)]
-    vertex_data: list[tuple[int, Value, View]] = []
-    facet_ids: dict[tuple[int, ...], int] = {}
-    facets: list[list[int]] = []
-    pre: list[Formula] = []
-    schedules: list[list] = []
+    # round 0: a vertex per (agent, input), keyed by the value's position;
+    # seen[v] is the current round's vertex v as (agent, view)
+    position = {v: i for i, v in enumerate(workspace.values)}
+    values = np.array([[position[v] for v in inp] for inp in assignments], dtype=np.intp)
+    ids, first = first_appearance_ids(
+        np.stack((np.broadcast_to(agents, values.shape), values), axis=-1).reshape(-1, 2))
+    seen: list[tuple[int, View]] = [(k % n, assignments[k // n][k % n])
+                                    for k in first.tolist()]
+    runs = ids.reshape(-1, n)
+    for _ in range(rounds):
+        below = np.where(in_stage, runs[:, None, None, :], -1)  # [runs, parts, n, n]
+        keys = np.concatenate(
+            (np.broadcast_to(agents[:, None], below.shape[:-1] + (1,)), below),
+            axis=-1).reshape(-1, n + 1)
+        ids, first = first_appearance_ids(keys)
+        seen = [(a, frozenset(seen[v] for v in row if v >= 0))
+                for a, *row in keys[first].tolist()]
+        runs = ids.reshape(-1, n)
 
-    def step(r: int, new_keys: list[tuple]) -> list[int]:
-        cur = intern_ids(new_keys, ids[r])
-        for (a, below), i in zip(new_keys, cur):
-            if i == len(seen[r]):
-                seen[r].append((a, frozenset(map(seen[r - 1].__getitem__, below))
-                                if r else below))
-        return cur
+    per_input = len(runs) // len(assignments)
+    vertex_data = tuple((a, assignments[k // (n * per_input)][a], view)
+                        for k, (a, view) in zip(first.tolist(), seen))
+    facet_of, first_run = first_appearance_ids(runs)
+    phis = [conj([atom(a, inp[a]) for a in range(n)]) for inp in assignments]
+    pre = list(map(phis.__getitem__, (first_run // per_input).tolist()))
+    schedules: list[list] = [[] for _ in pre]
+    histories = list(itertools.product(parts, repeat=rounds))
+    for fid, run in zip(facet_of.tolist(), itertools.product(assignments, histories)):
+        schedules[fid].append(run)
 
-    def walk(r: int, below: list[int], gammas: tuple, inp: tuple, phi: Formula):
-        for part, stage in zip(parts, stages):
-            cur = step(r, [(a, tuple([below[p] for p in members]))
-                           for a, members in enumerate(stage)])
-            if r < rounds:
-                walk(r + 1, cur, gammas + (part,), inp, phi)
-                continue
-            vertex_data.extend((a, inp[a], view) for a, view in seen[r][len(vertex_data):])
-            fid = facet_ids.setdefault(tuple(cur), len(facets))
-            if fid == len(facets):
-                facets.append(cur)
-                pre.append(phi)
-                schedules.append([])
-            schedules[fid].append((inp, gammas + (part,)))
-
-    for inp in assignments:
-        walk(1, step(0, list(enumerate(inp))), (), inp,
-             conj([atom(a, inp[a]) for a in range(n)]))
-
-    action = ActionModel(workspace, _action_complex(n, vertex_data, facets), pre)
-    return SnapshotProtocol(rounds, action, tuple(vertex_data),
-                            tuple(tuple(s) for s in schedules))
+    action = ActionModel(workspace, _action_complex(n, vertex_data, runs[first_run]), pre)
+    return SnapshotProtocol(rounds, action, vertex_data, tuple(map(tuple, schedules)))
 
 
 def _action_complex(n: int, vertex_keys: Iterable[tuple], facets) -> ChromaticComplex:
     """An action complex: vertex i has color ``vertex_keys[i][0]``, no atoms."""
-    vertices = [Vertex(id=i, color=key[0], atoms=frozenset())
-                for i, key in enumerate(vertex_keys)]
+    no_atoms = frozenset()
+    vertices = [Vertex(i, key[0], no_atoms) for i, key in enumerate(vertex_keys)]
     return ChromaticComplex(n, vertices, facets)
 
 

@@ -10,6 +10,7 @@ action along colors, keeping only the pairs where the precondition holds.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .complexes import ChromaticComplex, Facet, Vertex, intern_ids, validate_complex
+from .complexes import (ChromaticComplex, Facet, Vertex, first_appearance_ids,
+                        validate_complex)
 from .errors import UsageError
 from .logic import Formula, ModelTable
 from .simulation import Relation, SimulationEngine
@@ -79,11 +81,13 @@ class _ComplexCarrier:
             raise UsageError(f"invalid {kind} complex:\n  " + "\n  ".join(problems))
         if complex_.n_facets == 0:
             raise UsageError(f"{kind} has no facets")
-        for v in complex_.vertices:
-            for (a, val) in v.atoms:
+        # each distinct label once; the first vertex carrying a bad one is named
+        labels = [v.atoms for v in complex_.vertices]
+        for atoms in dict.fromkeys(labels):
+            for (a, val) in atoms:
                 if val not in workspace.value_set:
-                    raise UsageError(
-                        f"{kind}: vertex {v.id} carries value {val!r} outside the workspace")
+                    raise UsageError(f"{kind}: vertex {labels.index(atoms)} carries value "
+                                     f"{val!r} outside the workspace")
         self.workspace = workspace
         self.complex = complex_
 
@@ -157,16 +161,20 @@ class ActionModel(_ComplexCarrier):
         for v in complex_.vertices:
             if v.atoms:
                 raise UsageError(f"action vertex {v.id} must carry no atoms")
+        pre = tuple(pre)
         if len(pre) != complex_.n_facets:
             raise UsageError(
                 f"need one precondition per facet ({complex_.n_facets}), got {len(pre)}")
-        for i, f in enumerate(pre):
-            if not isinstance(f, Formula):
-                raise UsageError(f"precondition {i} is not a formula")
+        if set(map(type, pre)) != {Formula}:
+            for i, f in enumerate(pre):
+                if not isinstance(f, Formula):
+                    raise UsageError(f"precondition {i} is not a formula")
+        # formulas are interned, so each distinct one is checked once
+        for f in dict.fromkeys(pre):
             if f.has_d:
-                raise UsageError(
-                    f"precondition {i} contains a D operator (preconditions must be D-free)")
-        self.pre = tuple(pre)
+                raise UsageError(f"precondition {pre.index(f)} contains a D operator "
+                                 "(preconditions must be D-free)")
+        self.pre = pre
 
 
 def input_model(workspace: Workspace) -> SimplicialModel:
@@ -196,20 +204,20 @@ def product_update(model: SimplicialModel, action: ActionModel) -> ProductResult
     if model.workspace != action.workspace:
         raise UsageError("model and action use different workspaces")
     table = ModelTable(model)
-    distinct: dict[Formula, int] = {}  # formulas are interned: equal is identical
-    which = intern_ids(action.pre, distinct)
-    holds = np.stack([table.satisfies(p) for p in distinct])[which]  # [actions, facets]
+    # formulas are interned: equal is identical, and each is checked once
+    distinct = {f: i for i, f in enumerate(dict.fromkeys(action.pre))}
+    holds = np.stack([table.satisfies(p) for p in distinct])  # [distinct, facets]
+    holds = holds[list(map(distinct.__getitem__, action.pre))]  # [actions, facets]
     xs, ts = np.nonzero(holds.T)  # model facet by model facet
     if not len(xs):
         raise UsageError("product update is empty: no precondition holds anywhere")
-    n_act = len(action.complex.vertices)
-    keys = model.vertex_table[xs] * n_act + action.vertex_table[ts]
-    ids: dict[int, int] = {}
-    facets = np.array(intern_ids(keys.ravel().tolist(), ids)).reshape(keys.shape)
-    vertex_sources = [divmod(key, n_act) for key in ids]
-    src = model.complex.vertices
-    vertices = [Vertex(id=i, color=src[m].color, atoms=src[m].atoms)
-                for i, (m, _) in enumerate(vertex_sources)]
+    # a product vertex per distinct (model vertex, action vertex) pair
+    pairs = np.stack((model.vertex_table[xs], action.vertex_table[ts]), axis=-1).reshape(-1, 2)
+    ids, first = first_appearance_ids(pairs)
+    facets = ids.reshape(len(xs), -1)
+    vertex_sources = list(map(tuple, pairs[first].tolist()))
+    src = [(v.color, v.atoms) for v in model.complex.vertices]
+    vertices = [Vertex(i, *src[m]) for i, (m, _) in enumerate(vertex_sources)]
     cx = ChromaticComplex(model.workspace.n_agents, vertices, facets)
     return ProductResult(SimplicialModel(model.workspace, cx),
                          list(zip(xs.tolist(), ts.tolist())), vertex_sources)
@@ -267,7 +275,9 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
     Variables are source facets, domains are target facets; facets sharing
     a vertex must agree on its image. Forward checking plus
     smallest-domain-first selection (degree as tiebreak) keeps the search
-    tractable at the scales used here.
+    tractable at the scales used here. The search runs on an explicit
+    stack, so its depth is not bounded by the recursion limit, and takes
+    the next facet from a heap of the free ones, not from a scan of all.
 
     The domains are the partners in the maximum D-simulation (the D chain's
     fixpoint), and there is no morphism when that is not total: a colour-
@@ -295,16 +305,46 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
     degree = [len(set().union(*map(owners.__getitem__, row))) - 1 for row in src]
     assignment: list[int | None] = [None] * source.n_facets
     vassign: dict[int, int] = {}
+    # free facets keyed by (domain size, -degree, index); an entry is stale
+    # once its facet is assigned or its domain changes size, and every change
+    # pushes a fresh one, so the least live entry is the facet to branch on
+    heap = [(len(d), -deg, i) for i, (d, deg) in enumerate(zip(domains, degree))]
+    heapq.heapify(heap)
 
     def consistent(i: int, j: int) -> bool:
         return all(vassign.get(v, w) == w for v, w in zip(src[i], dst[j]))
 
-    def search() -> bool:
-        free = [i for i, j in enumerate(assignment) if j is None]
-        if not free:
-            return True
-        i = min(free, key=lambda i: (len(domains[i]), -degree[i], i))
-        for j in domains[i]:
+    def push(k: int) -> None:
+        heapq.heappush(heap, (len(domains[k]), -degree[k], k))
+
+    def pick() -> int | None:
+        while heap:
+            size, _, i = heapq.heappop(heap)
+            if assignment[i] is None and len(domains[i]) == size:
+                return i
+        return None
+
+    def undo(frame: list) -> None:
+        i, _, _, newly, trail = frame
+        for k, old in trail:
+            domains[k] = old
+            push(k)
+        assignment[i] = None
+        for v in newly:
+            del vassign[v]
+
+    # depth-first search on an explicit stack; a frame is [facet, its
+    # candidates, the next one to try, vertices it bound, domains it pruned].
+    # A model has facets, so there is a first facet to branch on.
+    first = pick()
+    stack = [[first, domains[first], 0, (), ()]]
+    while stack:
+        frame = stack[-1]
+        undo(frame)  # the last candidate's binding (none yet on a new frame)
+        i, candidates, pos = frame[:3]
+        while pos < len(candidates):
+            j = candidates[pos]
+            pos += 1
             if not consistent(i, j):
                 continue
             newly = [v for v in src[i] if v not in vassign]
@@ -315,15 +355,20 @@ def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism 
             trail = [(k, domains[k]) for k in touched]
             for k in touched:
                 domains[k] = [jj for jj in domains[k] if consistent(k, jj)]
-            if all(domains[k] for k in touched) and search():
-                return True
-            for k, old in trail:
-                domains[k] = old
-            assignment[i] = None
-            for v in newly:
-                del vassign[v]
-        return False
+                push(k)
+            frame[2:] = pos, newly, trail
+            if all(domains[k] for k in touched):
+                break
+            undo(frame)
+        else:
+            stack.pop()
+            push(i)
+            if not stack:
+                return None
+            continue
+        nxt = pick()
+        if nxt is None:
+            break
+        stack.append([nxt, domains[nxt], 0, (), ()])
 
-    if not search():
-        return None
     return Morphism(tuple(vassign[v] for v in range(len(source.complex.vertices))))

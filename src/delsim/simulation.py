@@ -55,7 +55,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .complexes import intern_ids
+from .complexes import first_appearance_ids, intern_ids
 from .errors import InternalConsistencyError, UsageError
 
 Mode = Literal["K", "D"]
@@ -365,11 +365,16 @@ class SimulationEngine:
             raise UsageError("left and right models use different workspaces")
         self.left = left
         self.right = right
-        label_ids: dict[frozenset, int] = {}
-        left_ids, right_ids = (np.array(intern_ids(m.facet_labels, label_ids), dtype=np.intp)
-                               for m in (left, right))
+        # a facet's label is the union of its vertices' atoms, and validated
+        # atoms sit on their own colour's vertex, so label-equal facets are
+        # the ones whose vertices carry equal atoms colour by colour
+        atom_ids: dict[frozenset, int] = {}
+        labels, first = first_appearance_ids(np.concatenate(
+            [np.array(intern_ids([v.atoms for v in m.complex.vertices], atom_ids),
+                      dtype=np.intp)[m.vertex_table] for m in (left, right)]))
+        left_ids, right_ids = labels[:left.n_facets], labels[left.n_facets:]
         # S_0: each left facet against the right facets of its label, in order
-        per_label = np.bincount(right_ids, minlength=len(label_ids))
+        per_label = np.bincount(right_ids, minlength=len(first))
         xs, k = _ranges(per_label[left_ids])
         by_label = np.argsort(right_ids, kind="stable")
         js = by_label[(np.cumsum(per_label) - per_label)[left_ids[xs]] + k]

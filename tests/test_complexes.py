@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from delsim.complexes import ChromaticComplex, Vertex, validate_complex
+from delsim.complexes import (ChromaticComplex, Vertex, first_appearance_ids,
+                              validate_complex)
 from delsim.errors import UsageError
 from delsim.models import input_model, standard_workspace
 
@@ -206,3 +207,36 @@ def raw_complexes(draw):
 @given(raw_complexes())
 def test_complex_matches_reference_on_random_input(raw):
     assert_matches_reference(*raw)
+
+
+def _first_appearance_naive(table: np.ndarray) -> tuple[list[int], list[int]]:
+    ids: dict[tuple, int] = {}
+    first: list[int] = []
+    out = []
+    for i, row in enumerate(map(tuple, table.tolist())):
+        if row not in ids:
+            ids[row] = len(ids)
+            first.append(i)
+        out.append(ids[row])
+    return out, first
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 12])
+@pytest.mark.parametrize("entries", ["small", "wide", "huge"])
+@pytest.mark.parametrize("rows", [0, 1, 7, 300])
+def test_first_appearance_ids_match_a_dict(width, entries, rows):
+    """Row interning by first appearance, against a dict over row tuples.
+    Rows are drawn from a small pool so that many repeat; "huge" entries lie
+    within a few of +-2**62, where one mixed-radix key of the raw entries
+    would overflow int64, and twelve columns of a hundred values each make
+    the key itself pass 2**62 and be re-ranked."""
+    rng = np.random.default_rng(width * 1000 + rows)
+    low, high = {"small": (-1, 4), "wide": (-50, 10**6),
+                 "huge": (-3, 3)}[entries]
+    pool = rng.integers(low, high, size=(max(rows // 3, 1), width), dtype=np.int64)
+    if entries == "huge":
+        pool += np.where(rng.random(pool.shape) < 0.5, 2**62, -2**62)
+    table = pool[rng.integers(0, len(pool), size=rows)]
+    ids, first = first_appearance_ids(table)
+    assert (ids.tolist(), first.tolist()) == _first_appearance_naive(table)
+    assert ids.dtype == first.dtype == np.intp

@@ -1,11 +1,13 @@
 """Protocol and task generators: schedules, views, graphs, staircase."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
 import oracles
+from delsim import serialize
 from delsim.errors import UsageError
 from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
                                compose, compose_rounds, compute_view,
@@ -165,7 +167,7 @@ def test_snapshot_input_validation(ws3):
 
 
 @pytest.mark.parametrize("n_agents,rounds",
-                         [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3)])
+                         [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (4, 1)])
 @pytest.mark.parametrize("single_input", [False, True])
 def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
     """The round-by-round builder against compute_view over every (inputs,
@@ -181,6 +183,23 @@ def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
     assert len(got.action.pre) == len(want["pre"])
     assert all(p is q for p, q in zip(got.action.pre, want["pre"]))
     assert got.schedules == want["schedules"]
+
+
+# sha256 of the canonical JSON of the 3 agents x 3 rounds action (inputs
+# {0, 1, 2}, 59319 facets) and of its product with the input model
+SNAPSHOT_3X3_SHA256 = {
+    "action": "b6cd80be3d326b3601932e909fb22fdf0f42e5d127cb849b0d2ccbc3aa8df666",
+    "model": "7fe1789e85d334b00e1405bc70457a6745f1e13a7cce3200781b37838cbd7a21",
+}
+
+
+def test_three_round_snapshot_json_is_pinned():
+    run = snapshot_run(standard_workspace(3, (0, 1, 2)), 3)
+    assert run.model.n_facets == 59319
+    texts = {"action": serialize.dumps(serialize.action_to_json(run.protocol.action)),
+             "model": serialize.dumps(serialize.model_to_json(run.model))}
+    assert {k: hashlib.sha256(t.encode()).hexdigest()
+            for k, t in texts.items()} == SNAPSHOT_3X3_SHA256
 
 
 # -- agreement task ---------------------------------------------------------

@@ -168,6 +168,19 @@ def test_find_morphism_vmaps_are_pinned(case, ws2, ws3):
     assert hashlib.sha256(repr(found.vmap).encode()).hexdigest() == MORPHISM_SHA256[case]
 
 
+def test_find_morphism_searches_without_recursion(snap2_3, ws3):
+    """Two rounds of 3-agent snapshots (4563 facets) map to 3-set agreement
+    by deciding one's own input. The search branches once per source facet,
+    so it must not recurse per branch: at the default recursion limit a
+    recursive search raises RecursionError here."""
+    task = agreement_run(ws3, 3).model
+    found = find_morphism(snap2_3.model, task)
+    assert found is not None
+    report = SimulationEngine(snap2_3.model, task).verify(
+        graph_of_morphism(found, snap2_3.model, task), "D")
+    assert report.is_simulation and report.total
+
+
 def test_morphism_validate_reports_violations(snap1_2, agree2_2):
     n = len(snap1_2.model.complex.vertices)
     bogus = Morphism(tuple([0] * n))
