@@ -57,6 +57,14 @@ def _read(path: str, from_json):
     return from_json(serialize.load_json(where, stream=stream), where=where)
 
 
+def _one_stdin(args, *options: str) -> None:
+    """Refuse a command line on which two of the input ``options`` read
+    stdin (``-``): the second would find it consumed."""
+    on_stdin = [f"--{o}" for o in options if getattr(args, o) == "-"]
+    if len(on_stdin) > 1:
+        raise UsageError(f"{', '.join(on_stdin)}: at most one input may read stdin (-)")
+
+
 def _write(text: str, path: str | None) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -130,6 +138,7 @@ def _gen_action(args, ws: Workspace) -> ActionModel:
 
 
 def _cmd_update(args) -> int:
+    _one_stdin(args, "action", "input")
     action = _read(args.action, serialize.action_from_json)
     if args.input == "default":
         model = input_model(action.workspace)
@@ -143,6 +152,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _one_stdin(args, "left", "right")
     left = _read(args.left, serialize.model_from_json)
     right = _read(args.right, serialize.model_from_json)
     chain = SimulationEngine(left, right).chain(args.mode)
@@ -162,6 +172,7 @@ def _cmd_obstruct(args) -> int:
     if args.phi == "-" and args.output in (None, "-"):
         raise UsageError("--phi - and the verdict (-o, default stdout) would both "
                          "write to stdout; send one of them to a file")
+    _one_stdin(args, "protocol", "task")
     protocol = _read(args.protocol, serialize.model_from_json)
     task = _read(args.task, serialize.model_from_json)
     verdict = decide_obstruction(protocol, task, args.mode)
@@ -183,6 +194,7 @@ def _default_phi_path(output: str | None) -> str:
 
 
 def _cmd_check(args) -> int:
+    _one_stdin(args, "model", "formula", "left", "right", "relation")
     if (args.formula is None) == (args.relation is None):
         raise UsageError("check needs exactly one of --formula / --relation")
     if args.formula is not None:
@@ -214,6 +226,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_morphism(args) -> int:
+    _one_stdin(args, "source", "target")
     source = _read(args.source, serialize.model_from_json)
     target = _read(args.target, serialize.model_from_json)
     found = find_morphism(source, target)

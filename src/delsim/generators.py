@@ -407,13 +407,13 @@ class ModelRun:
         return self.result.model
 
     def action_vertex(self, product_vertex: int) -> int:
-        return self.result.vertex_sources[product_vertex][1]
+        return int(self.result.vertex_sources[product_vertex, 1])
 
     def action_facet(self, product_facet: int) -> int:
-        return self.result.facet_sources[product_facet][1]
+        return int(self.result.facet_sources[product_facet, 1])
 
     def source_facet(self, product_facet: int) -> int:
-        return self.result.facet_sources[product_facet][0]
+        return int(self.result.facet_sources[product_facet, 0])
 
     @cached_property
     def facet_inputs(self) -> list[tuple[Value, ...]]:
@@ -471,9 +471,9 @@ class SnapshotRun:
                 got = memo[view] = (agents, values)
             return got
 
-        per_action = [masks(view) for _, _, view in self.protocol.vertex_data]
-        table = np.array([per_action[act] for _, act in self.run.result.vertex_sources],
-                         dtype=np.int64)
+        per_action = np.array([masks(view) for _, _, view in self.protocol.vertex_data],
+                              dtype=np.int64)
+        table = per_action[self.run.result.vertex_sources[:, 1]]
         return table[:, 0], table[:, 1]
 
 
@@ -573,7 +573,7 @@ def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphis
     if snap.workspace != agree.workspace:
         raise UsageError("runs use different workspaces")
     target: dict[tuple[int, Value, Value], int] = {}
-    for pid, (src_v, act_v) in enumerate(agree.run.result.vertex_sources):
+    for pid, act_v in enumerate(agree.run.result.vertex_sources[:, 1].tolist()):
         a, d = agree.task.vertex_data[act_v]
         (i,) = [val for (_, val) in agree.model.complex.vertices[pid].atoms]
         target[(a, i, d)] = pid

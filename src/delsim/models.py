@@ -191,11 +191,12 @@ def input_model(workspace: Workspace) -> SimplicialModel:
 
 @dataclass
 class ProductResult:
-    """A product-update model plus provenance back into its factors."""
+    """A product-update model plus provenance back into its factors, as
+    read-only ``[n, 2]`` int arrays."""
 
     model: SimplicialModel
-    facet_sources: list[tuple[int, int]]   # product facet -> (model facet, action facet)
-    vertex_sources: list[tuple[int, int]]  # product vertex -> (model vertex, action vertex)
+    facet_sources: np.ndarray   # product facet -> (model facet, action facet)
+    vertex_sources: np.ndarray  # product vertex -> (model vertex, action vertex)
 
 
 def product_update(model: SimplicialModel, action: ActionModel) -> ProductResult:
@@ -215,12 +216,13 @@ def product_update(model: SimplicialModel, action: ActionModel) -> ProductResult
     pairs = np.stack((model.vertex_table[xs], action.vertex_table[ts]), axis=-1).reshape(-1, 2)
     ids, first = first_appearance_ids(pairs)
     facets = ids.reshape(len(xs), -1)
-    vertex_sources = list(map(tuple, pairs[first].tolist()))
+    facet_sources, vertex_sources = np.stack((xs, ts), axis=1), pairs[first]
+    for a in (facet_sources, vertex_sources):
+        a.setflags(write=False)
     src = [(v.color, v.atoms) for v in model.complex.vertices]
-    vertices = [Vertex(i, *src[m]) for i, (m, _) in enumerate(vertex_sources)]
+    vertices = [Vertex(i, *src[m]) for i, m in enumerate(vertex_sources[:, 0].tolist())]
     cx = ChromaticComplex(model.workspace.n_agents, vertices, facets)
-    return ProductResult(SimplicialModel(model.workspace, cx),
-                         list(zip(xs.tolist(), ts.tolist())), vertex_sources)
+    return ProductResult(SimplicialModel(model.workspace, cx), facet_sources, vertex_sources)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +235,16 @@ class Morphism:
     vmap: tuple[int, ...]
 
     def validate(self, source: SimplicialModel, target: SimplicialModel) -> list[str]:
+        return self._checked(source, target)[0]
+
+    def _checked(self, source: SimplicialModel,
+                 target: SimplicialModel) -> tuple[list[str], list[int | None]]:
+        """The problems, and the facet images when every vertex maps well
+        (else an empty list)."""
         problems = []
         if len(self.vmap) != len(source.complex.vertices):
             return [f"vmap covers {len(self.vmap)} vertices, model has "
-                    f"{len(source.complex.vertices)}"]
+                    f"{len(source.complex.vertices)}"], []
         tv = target.complex.vertices
         for v, w in enumerate(self.vmap):
             if not 0 <= w < len(tv):
@@ -247,8 +255,9 @@ class Morphism:
                 problems.append(f"vertex {v}: color {sv.color} -> {tv[w].color}")
             if tv[w].atoms != sv.atoms:
                 problems.append(f"vertex {v}: labels not preserved")
+        images = [] if problems else self.facet_images(source, target)
         return problems or [f"facet {i}: image is not a facet"
-                            for i, j in enumerate(self.facet_images(source, target)) if j is None]
+                            for i, j in enumerate(images) if j is None], images
 
     def facet_images(self, source: SimplicialModel, target: SimplicialModel) -> list[int | None]:
         """Per source facet, the target facet that is its image, or None.
@@ -262,11 +271,10 @@ class Morphism:
 def graph_of_morphism(f: Morphism, source: SimplicialModel,
                       target: SimplicialModel) -> Relation:
     """Facet-level graph of a (validated) morphism, as a relation."""
-    problems = f.validate(source, target)
+    problems, images = f._checked(source, target)
     if problems:
         raise UsageError("not a morphism:\n  " + "\n  ".join(problems))
-    return Relation.from_pairs((source.n_facets, target.n_facets),
-                               list(enumerate(f.facet_images(source, target))))
+    return Relation.from_pairs((source.n_facets, target.n_facets), list(enumerate(images)))
 
 
 def find_morphism(source: SimplicialModel, target: SimplicialModel) -> Morphism | None:

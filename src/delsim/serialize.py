@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 from operator import itemgetter
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -466,10 +466,10 @@ def morphism_to_json(found: Morphism | None) -> dict:
             "vmap": None if found is None else [list(p) for p in enumerate(found.vmap)]}
 
 
-def provenance_to_json(facet_sources: list[tuple[int, int]]) -> dict:
+def provenance_to_json(facet_sources: np.ndarray | Sequence[tuple[int, int]]) -> dict:
     return {"format": PROVENANCE_FORMAT,
             "facets": [{"facet": i, "source": s, "action": t}
-                       for i, (s, t) in enumerate(facet_sources)]}
+                       for i, (s, t) in enumerate(np.asarray(facet_sources).tolist())]}
 
 
 # -- file helpers -----------------------------------------------------------

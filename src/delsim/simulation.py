@@ -22,8 +22,9 @@ Forth is read from two counters per group S, kept only where R has pairs
 (:class:`_Counters`): a cell (y, c) counts y's R-partners in right S-class
 c, and a block (b, c) counts the facets of left S-class b with no partner in
 c. Forth for S holds at (X, X') exactly when the block of their classes
-counts zero. ``forth``, ``refine`` and ``verify`` build the counters from
-scratch; the chain builds them once over S_0 and then only subtracts.
+counts zero. The chain's fixpoint guard, ``verify`` and ``forth`` build the
+counters from scratch; the chain builds them once over S_0 and then only
+subtracts.
 
 In both modes each step is r_{k+1} = r_k ∩ Forth(r_k). In K mode
 S_0 ∩ Forth(r_k) ⊆ S_0 ∩ Forth(r_{k-1}) = r_k by monotonicity. In D mode the
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -403,43 +404,28 @@ class SimulationEngine:
             groups.pop()
         return groups
 
-    def _forth_at(self, r_pairs: tuple[np.ndarray, np.ndarray], mode: Mode,
-                  at: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        """Forth applied to the relation with pairs ``r_pairs`` (two index
-        arrays), evaluated at the pairs ``at`` (default: ``r_pairs``)."""
-        ys, yys = r_pairs
-        xs, js = r_pairs if at is None else at
-        ok = np.ones(len(xs), dtype=bool)
-        for g in self._groups(mode, own_pairs=at is None):
-            ok &= _Counters(self.left, self.right, g, ys, yys).holds(xs, js)
-        return ok
+    def _counters(self, r: Relation, mode: Mode, own_pairs: bool = True) -> Iterator[_Counters]:
+        """Forth counters over ``r``'s pairs, built from scratch, one group
+        at a time."""
+        for g in self._groups(mode, own_pairs):
+            yield _Counters(self.left, self.right, g, r.xs, r.js)
 
     def forth(self, r: Relation, mode: Mode) -> np.ndarray:
         """The Forth operator applied to ``r``, evaluated at every pair, as
-        a dense boolean matrix."""
+        a dense boolean matrix. No library code calls it; it is kept for the
+        tests and as a benchmark trace target.
+
+        Forth for S at (x, j) depends only on the S-classes of x and j, so
+        each group's verdict is one [left classes, right classes] table,
+        set where a block misses nothing."""
         _check_mode(mode)
         self._check_dims(r)
-        every = tuple(np.indices(r.dims).reshape(2, -1))
-        return self._forth_at((r.xs, r.js), mode, at=every).reshape(r.dims)
-
-    def refine(self, r: Relation, mode: Mode) -> Relation:
-        """One chain step: S_0 ∩ Forth(r) in K mode, Forth(r) in D mode."""
-        mode = _check_mode(mode)
-        self._check_dims(r)
-        if mode == "K":
-            at = self._s0
-        else:
-            # The full group's obligation at (x, j) for Y = x asks for an
-            # r-partner of x with j's vertex set, so Forth(r) lies inside the
-            # pairs (x, j) with j in the full-color class of an r-partner of x.
-            ids, order, starts = self.right.face_classes(range(self.right.workspace.n_agents))
-            size = np.diff(starts, append=self.right.n_facets)
-            c = ids[r.js]
-            owner, k = _ranges(size[c])
-            at = Relation.from_pairs(r.dims, np.stack(
-                [r.xs[owner], order[starts[c][owner] + k]], axis=1))
-        ok = self._forth_at((r.xs, r.js), mode, at=(at.xs, at.js))
-        return Relation._sorted(at.dims, at.xs[ok], at.js[ok])
+        ok = np.ones(r.dims, dtype=bool)
+        for c in self._counters(r, mode, own_pairs=False):
+            table = np.zeros((len(c.lstarts), c.nc), dtype=bool)
+            table[np.divmod(c.blocks[c.miss == 0], c.nc)] = True
+            ok &= table[np.ix_(c.lid, c.rid)]
+        return ok
 
     def chain(self, mode: Mode) -> SimulationChain:
         """The chain to its fixpoint, checked by a from-scratch Forth."""
@@ -447,7 +433,8 @@ class SimulationEngine:
         live, removed, sizes, totals = self._removal_rounds(mode)
         s0 = self._s0
         fixpoint = Relation._sorted(s0.dims, s0.xs[live], s0.js[live])
-        if not self._forth_at((fixpoint.xs, fixpoint.js), mode).all():
+        if not all(c.holds(fixpoint.xs, fixpoint.js).all()
+                   for c in self._counters(fixpoint, mode)):
             raise InternalConsistencyError(
                 "the chain stopped at a relation that Forth does not keep")
         return SimulationChain(mode, s0, removed, fixpoint, sizes, totals)
@@ -458,8 +445,7 @@ class SimulationEngine:
         sizes and totality."""
         s0 = self._s0
         xs = s0.xs.astype(np.intp)
-        counters = [_Counters(self.left, self.right, g, xs, s0.js)
-                    for g in self._groups(mode, own_pairs=True)]
+        counters = list(self._counters(s0, mode))
         fresh = [np.flatnonzero(c.miss) for c in counters]
         live = np.ones(len(xs), dtype=bool)
         row_live = np.bincount(xs, minlength=self.left.n_facets)
@@ -504,8 +490,7 @@ class SimulationEngine:
         self._check_dims(r)
         xs, js = r.xs, r.js
         _, in_s0 = _find(self._s0_keys, r.keys())
-        counters = [_Counters(self.left, self.right, g, xs, js)
-                    for g in self._groups(mode, own_pairs=True)]
+        counters = list(self._counters(r, mode))
         kept = np.logical_and.reduce([c.holds(xs, js) for c in counters])
         examples: list[dict] = [
             {"kind": "atom", "left": i, "right": j}

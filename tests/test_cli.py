@@ -428,6 +428,25 @@ def test_formula_and_verdict_cannot_share_stdout(consensus_files, capsys, output
     assert err.startswith("error: --phi - and the verdict (-o") and "stdout" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["update", "--input", "-"], "--action, --input"),  # --action defaults to -
+    (["check", "--model", "-", "--formula", "-"], "--model, --formula"),
+    (["check", "--left", "-", "--right", "-", "--relation", "-"],
+     "--left, --right, --relation"),
+    (["simulate", "--left", "-", "--right", "-", "--mode", "K"], "--left, --right"),
+    (["obstruct", "--protocol", "-", "--task", "-", "--mode", "D"], "--protocol, --task"),
+    (["morphism", "--source", "-", "--target", "-"], "--source, --target")],
+    ids=["update", "check-formula", "check-relation", "simulate", "obstruct", "morphism"])
+def test_two_inputs_cannot_share_stdin(monkeypatch, capsys, argv, named):
+    """Stdin can be read once: two input options given as ``-`` are a usage
+    error naming them, before anything is read."""
+    stdin = io.StringIO("{}")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(argv) == 2
+    assert stdin.tell() == 0
+    assert capsys.readouterr() == ("", f"error: {named}: at most one input may read stdin (-)\n")
+
+
 def test_stdin_errors_name_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
     assert run_cli(["update", "--action", "-"]) == 2
