@@ -28,7 +28,7 @@ from .generators import (DiGraph, agreement_action, agreement_run,
                          constant_true_protocol, domination_number,
                          knowall_action, snapshot_action, snapshot_run,
                          staircase_task, standard_two_bit_workspace)
-from .logic import ModelTable, from_sexp, to_sexp
+from .logic import ModelTable, to_sexp
 from .models import (ActionModel, Workspace, find_morphism, input_model,
                      product_update, standard_workspace)
 from .obstruction import decide_obstruction
@@ -50,19 +50,33 @@ def _path(path: str) -> str:
     return path
 
 
-def _read(path: str, from_json):
-    """The document at ``path`` (``-``: stdin) read by ``from_json``, with
-    errors naming the path read, or ``<stdin>``."""
+def _read(path: str, from_json=None):
+    """The document at ``path`` (``-``: stdin): JSON read by ``from_json``,
+    or without it a formula. Errors name the path read, or ``<stdin>``."""
     where, stream = ("<stdin>", sys.stdin) if path == "-" else (path, None)
+    if from_json is None:
+        return serialize.load_formula(where, stream=stream)
     return from_json(serialize.load_json(where, stream=stream), where=where)
 
 
-def _one_stdin(args, *options: str) -> None:
-    """Refuse a command line on which two of the input ``options`` read
-    stdin (``-``): the second would find it consumed."""
-    on_stdin = [f"--{o}" for o in options if getattr(args, o) == "-"]
+def _one_place(args, inputs: tuple[str, ...] = (), outputs: dict | None = None) -> None:
+    """Refuse a command line that would read stdin twice or write one place
+    twice, before anything is read or written. At most one of the
+    ``inputs`` options may be ``-`` (stdin): the second would find it
+    consumed. No two ``outputs`` (label: path, where ``None`` and ``-`` are
+    stdout) may resolve to the same place, files compared after
+    :func:`os.path.realpath`: the later document would replace the
+    earlier."""
+    on_stdin = [f"--{o}" for o in inputs if getattr(args, o) == "-"]
     if len(on_stdin) > 1:
         raise UsageError(f"{', '.join(on_stdin)}: at most one input may read stdin (-)")
+    placed: dict[str, str] = {}
+    for label, path in (outputs or {}).items():
+        place = "stdout" if path in (None, "-") else os.path.realpath(path)
+        if place in placed:
+            fix = "send one of them to a file" if place == "stdout" else "give them different files"
+            raise UsageError(f"{placed[place]} and {label} would both write to {place}; {fix}")
+        placed[place] = label
 
 
 def _write(text: str, path: str | None) -> None:
@@ -138,7 +152,9 @@ def _gen_action(args, ws: Workspace) -> ActionModel:
 
 
 def _cmd_update(args) -> int:
-    _one_stdin(args, "action", "input")
+    provenance = {f"--provenance {args.provenance}": args.provenance} if args.provenance else {}
+    _one_place(args, ("action", "input"),
+               {"the model (-o, default stdout)": args.output, **provenance})
     action = _read(args.action, serialize.action_from_json)
     if args.input == "default":
         model = input_model(action.workspace)
@@ -152,7 +168,7 @@ def _cmd_update(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    _one_stdin(args, "left", "right")
+    _one_place(args, ("left", "right"))
     left = _read(args.left, serialize.model_from_json)
     right = _read(args.right, serialize.model_from_json)
     chain = SimulationEngine(left, right).chain(args.mode)
@@ -169,19 +185,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    if args.phi == "-" and args.output in (None, "-"):
-        raise UsageError("--phi - and the verdict (-o, default stdout) would both "
-                         "write to stdout; send one of them to a file")
-    _one_stdin(args, "protocol", "task")
+    phi = args.phi or _default_phi_path(args.output)
+    _one_place(args, ("protocol", "task"),
+               {f"--phi {phi}" if args.phi else f"the formula (--phi, default {phi})": phi,
+                "the verdict (-o, default stdout)": args.output})
     protocol = _read(args.protocol, serialize.model_from_json)
     task = _read(args.task, serialize.model_from_json)
     verdict = decide_obstruction(protocol, task, args.mode)
-    phi_file = None
     if verdict.exists:
-        phi_file = args.phi or _default_phi_path(args.output)
-        _write(to_sexp(verdict.phi, share=not args.expand) + "\n", phi_file)
+        _write(to_sexp(verdict.phi, share=not args.expand) + "\n", phi)
     _emit({"format": serialize.VERDICT_FORMAT,
-           **verdict.to_json(phi_file=phi_file)}, args.output)
+           **verdict.to_json(phi_file=phi if verdict.exists else None)}, args.output)
     return EXIT_OBSTRUCTION if verdict.exists else EXIT_OK
 
 
@@ -194,17 +208,14 @@ def _default_phi_path(output: str | None) -> str:
 
 
 def _cmd_check(args) -> int:
-    _one_stdin(args, "model", "formula", "left", "right", "relation")
+    _one_place(args, ("model", "formula", "left", "right", "relation"))
     if (args.formula is None) == (args.relation is None):
         raise UsageError("check needs exactly one of --formula / --relation")
     if args.formula is not None:
         if args.model is None:
             raise UsageError("--formula needs --model")
         model = _read(args.model, serialize.model_from_json)
-        if args.formula == "-":
-            phi = from_sexp(sys.stdin.read())
-        else:
-            phi = serialize.load_formula(args.formula)
+        phi = _read(args.formula)
         table = ModelTable(model)
         if args.facet is not None:
             _emit({"facet": args.facet, "holds": table.check(args.facet, phi)},
@@ -226,7 +237,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_morphism(args) -> int:
-    _one_stdin(args, "source", "target")
+    _one_place(args, ("source", "target"))
     source = _read(args.source, serialize.model_from_json)
     target = _read(args.target, serialize.model_from_json)
     found = find_morphism(source, target)
@@ -235,6 +246,11 @@ def _cmd_morphism(args) -> int:
 
 
 def _cmd_case_is2(args) -> int:
+    rpq_files = {f"{p},{q}": os.path.join(args.outdir, f"rpq_{p}{q}.json")
+                 for p, q in itertools.combinations(range(3), 2)}
+    _one_place(args, outputs={"the summary (-o, default stdout)": args.output,
+                              **{f"the conflict dump {path}": path
+                                 for path in rpq_files.values()}})
     ws = standard_workspace(3)
     inputs = (0, 0, 0) if args.single_input else None
     snap = snapshot_run(ws, 2, inputs)
@@ -242,13 +258,10 @@ def _cmd_case_is2(args) -> int:
 
     os.makedirs(args.outdir, exist_ok=True)
     conflicts = {}
-    rpq_files = {}
     for p, q in itertools.combinations(range(3), 2):
         rel = conflict_relation(snap, p, q)
         conflicts[(p, q)] = rel
-        path = os.path.join(args.outdir, f"rpq_{p}{q}.json")
-        _emit(conflict_report(rel), path)
-        rpq_files[f"{p},{q}"] = path
+        _emit(conflict_report(rel), rpq_files[f"{p},{q}"])
 
     location = {f"{p},{q}": len(location_violations(snap, rel))
                 for (p, q), rel in conflicts.items()}

@@ -10,7 +10,7 @@ analyses can ask "which agent/view/decision does this product vertex carry?".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -99,24 +99,6 @@ def compute_view(inputs: Sequence[Value], gammas: Sequence[OrderedPartition],
                      for p in last.stage_of(agent))
 
 
-def flatten_view(view: View) -> frozenset:
-    """Collapse a nested view to the (agent, input) pairs it mentions.
-    Identity on single-round views."""
-    if not isinstance(view, frozenset):
-        raise UsageError("flatten_view expects a view of depth >= 1")
-    if all(not isinstance(v, frozenset) for _, v in view):
-        return view
-    return frozenset().union(*(flatten_view(v) for _, v in view))
-
-
-def view_values(view: View) -> frozenset:
-    return frozenset(v for _, v in flatten_view(view))
-
-
-def view_agents(view: View) -> frozenset:
-    return frozenset(p for p, _ in flatten_view(view))
-
-
 # ---------------------------------------------------------------------------
 # Immediate-snapshot protocol
 
@@ -124,7 +106,9 @@ def view_agents(view: View) -> frozenset:
 class SnapshotProtocol:
     """r rounds of immediate snapshots, as an action model.
 
-    ``vertex_data[v]`` is the (agent, input, view) triple of action vertex v;
+    ``vertex_data[v]`` is the (agent, input, view) triple of action vertex v,
+    and ``view_masks[v]`` the bitmasks of the agents (bit a for agent a) and
+    the values (bit i for ``workspace.values[i]``) that its view mentions;
     ``schedules[t]`` lists every (inputs, round-schedules) pair generating
     action facet t (facets are deduplicated by their vertex sets; for up to
     three agents and two rounds no collision occurs).
@@ -133,6 +117,7 @@ class SnapshotProtocol:
     rounds: int
     action: ActionModel
     vertex_data: tuple[tuple[int, Value, View], ...]
+    view_masks: np.ndarray = field(repr=False, compare=False)
     schedules: tuple[tuple[tuple[tuple[Value, ...], tuple[OrderedPartition, ...]], ...], ...]
 
 
@@ -150,8 +135,10 @@ def snapshot_action(workspace: Workspace, rounds: int,
     elsewhere. Interning the rows by first appearance gives the round's
     vertex ids, and at the last round interning the runs' rows gives the
     facets. Each new vertex's nested view (:func:`compute_view`'s) is built
-    once, from its first row; vertex and facet ids follow first appearance
-    in (inputs, schedules, agent) order.
+    once, from its first row, and so are its view masks: its own agent and
+    input bits at round 0, later the OR of its stage members' masks. Vertex
+    and facet ids follow first appearance in (inputs, schedules, agent)
+    order.
     """
     if rounds < 1:
         raise UsageError("need at least one round")
@@ -170,13 +157,15 @@ def snapshot_action(workspace: Workspace, rounds: int,
     agents = np.arange(n)
 
     # round 0: a vertex per (agent, input), keyed by the value's position;
-    # seen[v] is the current round's vertex v as (agent, view)
+    # seen[v] is the current round's vertex v as (agent, view), masks[v] its
+    # (agents, values) bitmasks
     position = {v: i for i, v in enumerate(workspace.values)}
     values = np.array([[position[v] for v in inp] for inp in assignments], dtype=np.intp)
-    ids, first = first_appearance_ids(
-        np.stack((np.broadcast_to(agents, values.shape), values), axis=-1).reshape(-1, 2))
+    pairs = np.stack((np.broadcast_to(agents, values.shape), values), axis=-1).reshape(-1, 2)
+    ids, first = first_appearance_ids(pairs)
     seen: list[tuple[int, View]] = [(k % n, assignments[k // n][k % n])
                                     for k in first.tolist()]
+    masks = np.left_shift(1, pairs[first], dtype=np.int64)
     runs = ids.reshape(-1, n)
     for _ in range(rounds):
         below = np.where(in_stage, runs[:, None, None, :], -1)  # [runs, parts, n, n]
@@ -184,6 +173,8 @@ def snapshot_action(workspace: Workspace, rounds: int,
             (np.broadcast_to(agents[:, None], below.shape[:-1] + (1,)), below),
             axis=-1).reshape(-1, n + 1)
         ids, first = first_appearance_ids(keys)
+        # a -1 (not in the stage) reads the zero row appended last
+        masks = np.bitwise_or.reduce(np.vstack((masks, [0, 0]))[keys[first, 1:]], axis=1)
         seen = [(a, frozenset(seen[v] for v in row if v >= 0))
                 for a, *row in keys[first].tolist()]
         runs = ids.reshape(-1, n)
@@ -200,7 +191,7 @@ def snapshot_action(workspace: Workspace, rounds: int,
         schedules[fid].append(run)
 
     action = ActionModel(workspace, _action_complex(n, vertex_data, runs[first_run]), pre)
-    return SnapshotProtocol(rounds, action, vertex_data, tuple(map(tuple, schedules)))
+    return SnapshotProtocol(rounds, action, vertex_data, masks, tuple(map(tuple, schedules)))
 
 
 def _action_complex(n: int, vertex_keys: Iterable[tuple], facets) -> ChromaticComplex:
@@ -448,32 +439,11 @@ class SnapshotRun:
 
     @cached_property
     def view_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per product vertex, bitmasks of what its view mentions: the agents
-        (bit a for agent a) and the values (bit i for ``workspace.values[i]``),
-        i.e. :func:`view_agents` and :func:`view_values` of its view. Each
-        distinct sub-view is flattened once."""
-        value_bit = {v: 1 << i for i, v in enumerate(self.workspace.values)}
-        memo: dict = {}
-
-        def masks(view) -> tuple[int, int]:
-            got = memo.get(view)
-            if got is None:
-                agents = values = 0
-                if all(not isinstance(v, frozenset) for _, v in view):
-                    for p, v in view:
-                        agents |= 1 << p
-                        values |= value_bit[v]
-                else:
-                    for _, sub in view:
-                        a, v = masks(sub)
-                        agents |= a
-                        values |= v
-                got = memo[view] = (agents, values)
-            return got
-
-        per_action = np.array([masks(view) for _, _, view in self.protocol.vertex_data],
-                              dtype=np.int64)
-        table = per_action[self.run.result.vertex_sources[:, 1]]
+        """Per product vertex, the bitmasks of the agents and of the values
+        its view mentions (``SnapshotProtocol.view_masks``)."""
+        if len(self.workspace.values) > 64:
+            raise UsageError("view masks hold at most 64 values")
+        table = self.protocol.view_masks[self.run.result.vertex_sources[:, 1]]
         return table[:, 0], table[:, 1]
 
 

@@ -108,16 +108,17 @@ def _levels(model, mode: Mode, n: int, top) -> list[dict[int, Formula]]:
                 out[x] = disj(parts)
             return out
     else:
-        # shared[x][y]: the colors facets x and y share, one row per facet
+        # groups[bits]: the colors whose bits are set. A facet's row of
+        # shared-color bits is made with its formula and dropped after, so
+        # no facet x facet table is kept
         vt = model.vertex_table
         weights = 1 << np.arange(n_agents)
         groups = [frozenset(a for a in range(n_agents) if bits >> a & 1)
                   for bits in range(1 << n_agents)]
-        shared = {x: [groups[bits] for bits in ((vt == vt[x]) @ weights).tolist()]
-                  for x in (cone[1] if n else ())}
 
         def level(prev, xs):
-            return {x: disj([dknow(g, prev[y]) for y, g in enumerate(shared[x])])
+            return {x: disj([dknow(groups[bits], prev[y]) for y, bits
+                             in enumerate(((vt == vt[x]) @ weights).tolist())])
                     for x in xs}
 
     for k in range(1, n + 1):

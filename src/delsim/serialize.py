@@ -474,30 +474,34 @@ def provenance_to_json(facet_sources: np.ndarray | Sequence[tuple[int, int]]) ->
 
 # -- file helpers -----------------------------------------------------------
 
-def load_json(path: str, stream: IO | None = None) -> dict:
+def _read_text(path: str, stream: IO | None = None) -> str:
+    """The whole text of ``stream``, or else of the file at ``path``, read
+    as UTF-8; text that cannot be read or decoded raises
+    :class:`SchemaError` naming ``path``. A stream over bytes (stdin) is
+    decoded here, since a locale's decoder may pass bad bytes through."""
     try:
         if stream is not None:
-            return json.load(stream)
+            raw = getattr(stream, "buffer", None)
+            return stream.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON ({e})") from e
+            return fh.read()
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not UTF-8 ({e})") from e
     except OSError as e:
         raise SchemaError(f"{path}: {e}") from e
+
+
+def load_json(path: str, stream: IO | None = None) -> dict:
+    text = _read_text(path, stream)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{path}: invalid JSON ({e})") from e
 
 
 def load_model(path: str) -> SimplicialModel:
     return model_from_json(load_json(path), where=path)
 
 
-def load_formula(path: str) -> Formula:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not UTF-8 ({e})") from e
-    except OSError as e:
-        raise SchemaError(f"{path}: {e}") from e
-    return from_sexp(text)
+def load_formula(path: str, stream: IO | None = None) -> Formula:
+    return from_sexp(_read_text(path, stream))

@@ -597,7 +597,7 @@ def view_leaves(view) -> frozenset:
     return frozenset(out)
 
 
-def _views_seen(snap):
+def views_seen(snap):
     """Per product vertex, the agents and the values its raw snapshot view
     (``vertex_data`` through the product's vertex sources) mentions."""
     leaves = [view_leaves(snap.protocol.vertex_data[act][2])
@@ -615,7 +615,7 @@ def explicit_agreement_naive(snap, agree) -> frozenset:
     view has seen, by the task's decision table."""
     model, task = snap.model, agree.model
     cx = model.complex
-    _, values_seen = _views_seen(snap)
+    _, values_seen = views_seen(snap)
 
     def inputs_of(m, i):
         return tuple(v for _, v in sorted(facet_label(m, i)))
@@ -640,7 +640,7 @@ def explicit_sa2_naive(snap, agree) -> frozenset:
     derived conflict pair of R^{p,q} (from :func:`conflict_naive`) decides
     (input of p, input of q)."""
     cx = snap.model.complex
-    agents_seen, _ = _views_seen(snap)
+    agents_seen, _ = views_seen(snap)
     facet_vertices = [f.vertices for f in snap.model.facets]
     finals = {(p, q): conflict_naive(facet_vertices, agents_seen, p, q)[1]
               for p, q in itertools.combinations(range(3), 2)}

@@ -18,7 +18,7 @@ from delsim.generators import (DiGraph, agreement_run, compute_view,
                                domination_number, explicit_agreement_relation,
                                knowall_run, ordered_partitions,
                                round_prefix_morphism, snapshot_run,
-                               staircase_setup, view_agents)
+                               staircase_setup)
 from delsim.logic import ModelTable, atom, conj, disj, dknow, know, neg
 from delsim.models import (find_morphism, graph_of_morphism, input_model,
                            standard_workspace)
@@ -234,8 +234,7 @@ def test_acceptance_7_structural_properties():
                            for _ in range(rng.randint(1, 2)))
             inputs = tuple(rng.choice(ws3.values) for _ in range(3))
             a = rng.randrange(3)
-            from delsim.generators import flatten_view
-            flat = flatten_view(compute_view(inputs, gammas, a))
+            flat = oracles.view_leaves(compute_view(inputs, gammas, a))
             low = frozenset((p, inputs[p]) for p in gammas[0].chain[0])
             high = frozenset((p, inputs[p]) for p in range(3))
             assert low <= flat <= high
@@ -250,7 +249,7 @@ def test_acceptance_7_structural_properties():
                 for a, b in itertools.combinations(range(3), 2):
                     assert views[a] <= views[b] or views[b] <= views[a]
                 for a in range(3):
-                    for b in view_agents(views[a]):
+                    for b, _ in oracles.view_leaves(views[a]):
                         assert views[b] <= views[a]
 
 

@@ -11,7 +11,7 @@ from delsim.case_is2 import (ConflictRelation, by_input_candidates, conflict_rel
                              explicit_sa2_relation, initial_block_facets,
                              location_violations)
 from delsim.errors import UsageError
-from delsim.generators import agreement_run, snapshot_run, view_agents
+from delsim.generators import agreement_run, snapshot_run
 from delsim.models import standard_workspace
 from delsim.simulation import SimulationEngine
 
@@ -23,10 +23,8 @@ FULL_FINAL = 648
 
 
 def conflict_inputs(snap):
-    fv = [f.vertices for f in snap.model.facets]
-    va = [view_agents(snap.vertex_info(v)[2])
-          for v in range(len(snap.model.complex.vertices))]
-    return fv, va
+    agents_seen, _ = oracles.views_seen(snap)
+    return [f.vertices for f in snap.model.facets], agents_seen
 
 
 @pytest.mark.parametrize("p,q", [(0, 1), (0, 2), (1, 2)])

@@ -447,6 +447,76 @@ def test_two_inputs_cannot_share_stdin(monkeypatch, capsys, argv, named):
     assert capsys.readouterr() == ("", f"error: {named}: at most one input may read stdin (-)\n")
 
 
+@pytest.mark.parametrize("case", ["obstruct-default-phi", "obstruct-phi", "update",
+                                  "update-stdout", "case-is2"])
+def test_two_outputs_cannot_share_a_place(consensus_files, tmp_path, monkeypatch, capsys,
+                                          case):
+    """Two outputs of one command that resolve to the same file, however
+    spelled, or both to stdout, are a usage error naming both, before any
+    work or output: the later document would replace the earlier."""
+    monkeypatch.chdir(tmp_path)
+    proto, task = str(consensus_files["proto"]), str(consensus_files["task"])
+    is1 = str(consensus_files["dir"] / "is1.json")
+    obstruct = ["obstruct", "--protocol", proto, "--task", task, "--mode", "K"]
+    argv, place, first, second = {
+        # -o X.sexp: the formula's default file is X.sexp too
+        "obstruct-default-phi": ([*obstruct, "-o", "v.sexp"], "v.sexp",
+                                 "the formula (--phi, default v.sexp)",
+                                 "the verdict (-o, default stdout)"),
+        "obstruct-phi": ([*obstruct, "--phi", "w.json", "-o", "./w.json"], "w.json",
+                         "--phi w.json", "the verdict (-o, default stdout)"),
+        "update": (["update", "--action", is1, "-o", "m.json", "--provenance", "./m.json"],
+                   "m.json", "the model (-o, default stdout)", "--provenance ./m.json"),
+        "update-stdout": (["update", "--action", is1, "--provenance", "-"], None,
+                          "the model (-o, default stdout)", "--provenance -"),
+        "case-is2": (["case-is2", "--single-input", "--outdir", "out",
+                      "-o", "out/../out/rpq_01.json"], "out/rpq_01.json",
+                     "the summary (-o, default stdout)", "the conflict dump out/rpq_01.json"),
+    }[case]
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(argv) == 2
+    where, fix = ("stdout", "send one of them to a file") if place is None else \
+        (os.path.realpath(place), "give them different files")
+    assert capsys.readouterr() == (
+        "", f"error: {first} and {second} would both write to {where}; {fix}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_one_input_may_be_given_twice(consensus_files, tmp_path):
+    """Only outputs must be distinct: one file read as both models is fine."""
+    task = str(consensus_files["task"])
+    assert run_cli(["simulate", "--left", task, "--right", "./" + os.path.relpath(task),
+                    "--mode", "K", "-o", str(tmp_path / "sim.json")]) == 0
+    assert read(tmp_path / "sim.json")["total"] is True
+
+
+def test_formula_on_stdin_is_read_like_every_input(consensus_files, monkeypatch, capsys):
+    """``check --formula -`` reads stdin through the one text reader: a
+    formula there is checked, and a byte that a strict decoder rejects is a
+    file error naming ``<stdin>`` (exit 2), not an internal error."""
+    task = str(consensus_files["task"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(atom 0 0)\n"))
+    assert run_cli(["check", "--model", task, "--formula", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff(atom 0 0)\n"),
+                                                       encoding="utf-8", errors="strict"))
+    assert run_cli(["check", "--model", task, "--formula", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: <stdin>: not UTF-8 ") and err.count("\n") == 1
+
+
+def test_stdin_is_read_as_utf8_whatever_the_locale(consensus_files):
+    """A byte on stdin that is not UTF-8 is a file error naming ``<stdin>``
+    (exit 2), as it is in a file, also under C.UTF-8, whose stdin decoder
+    would pass it through as a surrogate."""
+    text = (consensus_files["dir"] / "is1.json").read_bytes().replace(b'"p0"', b'"p\xff"')
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    proc = subprocess.run(python("-m", "delsim", "update", "--action", "-"), input=text,
+                          capture_output=True, env={**env, "LC_ALL": "C.UTF-8"})
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: <stdin>: not UTF-8 ")
+
+
 def test_stdin_errors_name_stdin(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
     assert run_cli(["update", "--action", "-"]) == 2

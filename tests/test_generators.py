@@ -13,12 +13,10 @@ from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
                                compose, compose_rounds, compute_view,
                                constant_true_protocol, decide_own_input_morphism,
                                domination_number, explicit_agreement_relation,
-                               flatten_view, in_neighbors, knowall_run,
-                               ordered_partitions, out_neighbors,
-                               round_prefix_morphism, snapshot_action,
-                               snapshot_run, staircase_task,
-                               standard_two_bit_workspace, view_agents,
-                               view_values)
+                               in_neighbors, knowall_run, ordered_partitions,
+                               out_neighbors, round_prefix_morphism,
+                               snapshot_action, snapshot_run, staircase_task,
+                               standard_two_bit_workspace)
 from delsim.models import graph_of_morphism, standard_workspace
 from delsim.simulation import SimulationEngine
 
@@ -70,14 +68,6 @@ def test_view_walkthrough_three_stages():
     assert views[2] == frozenset({(2, 0)})
 
 
-def test_flatten_view_identity_on_one_round():
-    g = ordered_partitions(2)[0]
-    v = compute_view((0, 1), (g,), 0)
-    assert flatten_view(v) == v
-    with pytest.raises(UsageError):
-        flatten_view(3)
-
-
 def test_single_round_views_are_snapshots():
     # Self-inclusion, containment, and immediacy on every one-round view
     ws = standard_workspace(3)
@@ -89,7 +79,7 @@ def test_single_round_views_are_snapshots():
             for a, b in itertools.combinations(range(3), 2):
                 assert views[a] <= views[b] or views[b] <= views[a]
             for a in range(3):
-                for b in view_agents(views[a]):
+                for b, _ in oracles.view_leaves(views[a]):
                     assert views[b] <= views[a]
 
 
@@ -102,9 +92,9 @@ def test_view_flattening_matches_relational_composition():
         gammas = tuple(rng.choice(parts) for _ in range(rng.randint(1, 2)))
         inputs = tuple(rng.choice(ws.values) for _ in range(3))
         a = rng.randrange(3)
-        flat = flatten_view(compute_view(inputs, gammas, a))
+        flat = oracles.view_leaves(compute_view(inputs, gammas, a))
         heard = oracles.heard_from(gammas, a)
-        assert view_agents(flat) == heard
+        assert {p for p, _ in flat} == heard
         assert flat == frozenset((p, inputs[p]) for p in heard)
 
 
@@ -117,7 +107,7 @@ def test_first_stage_inputs_bound_every_view():
         gammas = tuple(rng.choice(parts) for _ in range(rng.randint(1, 2)))
         inputs = tuple(rng.choice(ws.values) for _ in range(3))
         a = rng.randrange(3)
-        flat = flatten_view(compute_view(inputs, gammas, a))
+        flat = oracles.view_leaves(compute_view(inputs, gammas, a))
         low = frozenset((p, inputs[p]) for p in gammas[0].chain[0])
         high = frozenset((p, inputs[p]) for p in range(3))
         assert low <= flat <= high
@@ -164,6 +154,10 @@ def test_snapshot_input_validation(ws3):
         snapshot_run(ws3, 1, (0, 0))
     with pytest.raises(UsageError):
         snapshot_run(ws3, 1, (0, 0, 9))
+    # a value's bit must fit the int64 masks
+    assert len(snapshot_run(standard_workspace(1, tuple(range(64))), 1).view_masks[1]) == 64
+    with pytest.raises(UsageError):
+        snapshot_run(standard_workspace(1, tuple(range(65))), 1).view_masks
 
 
 @pytest.mark.parametrize("n_agents,rounds",
@@ -171,8 +165,9 @@ def test_snapshot_input_validation(ws3):
 @pytest.mark.parametrize("single_input", [False, True])
 def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
     """The round-by-round builder against compute_view over every (inputs,
-    schedules) pair: same vertex and facet numbering, views, preconditions
-    and schedules, over all inputs and over one assignment (``inputs=``)."""
+    schedules) pair: same vertex and facet numbering, views, view masks,
+    preconditions and schedules, over all inputs and over one assignment
+    (``inputs=``)."""
     values = (0, "one", 2)[:max(n_agents, 2)]
     ws = standard_workspace(n_agents, values)
     inputs = tuple(values[a % len(values)] for a in range(n_agents)) if single_input else None
@@ -183,6 +178,10 @@ def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
     assert len(got.action.pre) == len(want["pre"])
     assert all(p is q for p, q in zip(got.action.pre, want["pre"]))
     assert got.schedules == want["schedules"]
+    leaves = [oracles.view_leaves(view) for _, _, view in want["vertex_data"]]
+    assert got.view_masks.tolist() == [
+        [sum(1 << p for p in {p for p, _ in lv}),
+         sum(1 << values.index(x) for x in {x for _, x in lv})] for lv in leaves]
 
 
 # sha256 of the canonical JSON of the 3 agents x 3 rounds action (inputs
@@ -244,7 +243,8 @@ def test_explicit_agreement_relation_clauses(snap1_3, agree2_3):
     # spot-check the view clause on one facet
     i = 0
     facet = snap1_3.model.facets[i]
-    seen = [view_values(snap1_3.vertex_info(v)[2]) for v in facet.vertices]
+    seen = [{x for _, x in oracles.view_leaves(snap1_3.vertex_info(v)[2])}
+            for v in facet.vertices]
     for j in range(agree2_3.model.n_facets):
         if rel.contains(i, j):
             decisions = agree2_3.facet_decisions(j)
@@ -332,7 +332,7 @@ def test_knowall_views_are_effective_in_neighborhoods(ws3, knowall_loops):
     run = knowall_run(ws3, [triangle], 1)
     for v in range(len(run.model.complex.vertices)):
         a, inp, view = run.vertex_info(v)
-        assert view_agents(view) == in_neighbors(triangle, a)
+        assert {p for p, _ in oracles.view_leaves(view)} == in_neighbors(triangle, a)
 
 
 # -- staircase --------------------------------------------------------------
@@ -367,15 +367,29 @@ def test_constant_true_protocol_reproduces_input_model(stair):
     assert len(labels) == 4
 
 
-@pytest.mark.parametrize("run", ["snap1_2", "snap1_3", "snap2_3", "snap_si"])
+@pytest.fixture(scope="module")
+def snap3_2(ws2):
+    return snapshot_run(ws2, 3)
+
+
+@pytest.fixture(scope="module")
+def snap3_si(ws3):
+    return snapshot_run(ws3, 3, (0, 1, 2))
+
+
+@pytest.mark.parametrize("run", ["snap1_2", "snap1_3", "snap2_3", "snap_si",
+                                 "snap3_2", "snap3_si"])
 def test_view_masks_match_view_helpers(request, run):
+    """The masks built with the rounds against the leaves of each product
+    vertex's nested view: 2 and 3 agents, 1 to 3 rounds, all inputs or one
+    assignment."""
     snap = request.getfixturevalue(run)
     agents, values = snap.view_masks
     n_vertices = len(snap.model.complex.vertices)
     assert len(agents) == len(values) == n_vertices
     for v in range(n_vertices):
-        view = snap.vertex_info(v)[2]
+        leaves = oracles.view_leaves(snap.vertex_info(v)[2])
         assert {p for p in range(snap.workspace.n_agents) if agents[v] >> p & 1} \
-            == view_agents(view)
+            == {p for p, _ in leaves}
         assert {x for i, x in enumerate(snap.workspace.values) if values[v] >> i & 1} \
-            == view_values(view)
+            == {x for _, x in leaves}

@@ -163,6 +163,28 @@ def test_model_check_memory_follows_the_dag_width(stair256, mode):
     assert peak < dag_size(phi) * task.n_facets / 2, (peak, dag_size(phi))
 
 
+def test_d_synthesis_keeps_no_facet_by_facet_table(snap1_3):
+    """A depth-2 D formula over 351 facets takes each facet's row of shared
+    colours only while that facet's formula is made. A row kept for every
+    facet would be 351 x 351 references, about 1 MB; the bound is a quarter
+    of that. Measured on a second build, whose nodes are already interned."""
+    model = snap1_3.model
+    phi = characteristic_formula(model, "D", 2, 0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        again = characteristic_formula(model, "D", 2, 0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert again is phi
+    assert peak < 8 * model.n_facets ** 2 / 4, peak
+
+
 def test_an_obstruction_dag_is_walked_once(snap1_2, agree1_2, monkeypatch):
     """The verdict, the writer, the reader, re-checks on fresh tables of
     reloaded models and both size functions all read the one walk plan that
