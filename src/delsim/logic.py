@@ -109,7 +109,7 @@ class Formula:
         while stack and n < 80:
             n += 1
             stack.extend(stack.pop().children)
-        return f"<Formula {_write(self, {}) if n < 80 else self.kind}>"
+        return f"<Formula {''.join(_write(self, {}, [])) if n < 80 else self.kind}>"
 
 
 _INTERNED: dict[tuple, Formula] = {}
@@ -487,6 +487,7 @@ def eval_formula(model, facet: int, f: Formula) -> bool:
 # S-expressions
 
 _EXPAND_GUARD = 10_000_000
+_CHUNK = 4096
 
 
 def to_sexp(f: Formula, share: bool = True) -> str:
@@ -498,20 +499,22 @@ def to_sexp(f: Formula, share: bool = True) -> str:
         if tree_size(f) > _EXPAND_GUARD:
             raise UsageError(
                 f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
-        return _write(f, {})
+        return "".join(_write(f, {}, []))
     order = _plan(f)[0]
     refs = Counter(chain.from_iterable(map(attrgetter("children"), order)))
     names: dict[Formula, str] = {}
-    bindings: list[str] = []
+    pieces = ["(let ("]
     for node in order:
         if node is not f and refs[node] >= 2 and node.kind != ATOM:
-            body = _write(node, names)
-            names[node] = f"x{len(names)}"
-            bindings.append(f"({names[node]} {body})")
-    body = _write(f, names)
-    if not bindings:
-        return body
-    return f"(let ({' '.join(bindings)}) {body})"
+            name = f"x{len(names)}"
+            pieces.append(f" ({name} " if names else f"({name} ")
+            _write(node, names, pieces).append(")")
+            names[node] = name
+    if not names:
+        return "".join(_write(f, names, []))
+    pieces.append(") ")
+    _write(f, names, pieces).append(")")
+    return "".join(pieces)
 
 
 # one text per agent set: an obstruction has thousands of D nodes over a
@@ -521,143 +524,249 @@ def _d_head(group: frozenset) -> str:
     return f"(D ({' '.join(map(str, sorted(group)))}) "
 
 
-def _write(f: Formula, names: dict[Formula, str]) -> str:
+def _write(f: Formula, names: dict[Formula, str], out: list[str]) -> list[str]:
+    """Append ``f``'s text to ``out`` and return it. The text goes in
+    joined chunks of about `_CHUNK` pieces, so that a long text is not held
+    as millions of small strings."""
     # An explicit stack of nodes still to write and text to emit after them,
     # so nesting depth is not bounded by the interpreter's recursion limit.
-    out: list[str] = []
+    buf: list[str] = []
     stack: list = [f]
     while stack:
         item = stack.pop()
         if type(item) is str:
-            out.append(item)
+            buf.append(item)
             continue
         name = names.get(item)
         if name is not None:
-            out.append(name)
+            buf.append(name)
             continue
         if item.kind == ATOM:
             a, v = item.payload
-            out.append(f"(atom {a} {json.dumps(v)})")
+            buf.append(f"(atom {a} {json.dumps(v)})")
             continue
+        if len(buf) > _CHUNK:
+            out.append("".join(buf))
+            buf.clear()
         if item.kind == K:
-            out.append(f"(K {item.payload} ")
+            buf.append(f"(K {item.payload} ")
         elif item.kind == D:
-            out.append(_d_head(item.payload))
+            buf.append(_d_head(item.payload))
         else:
-            out.append(f"({item.kind} ")
+            buf.append(f"({item.kind} ")
         stack.append(")")
         for i in range(len(item.children) - 1, 0, -1):
             stack.append(item.children[i])
             stack.append(" ")
         stack.append(item.children[0])
+    out.append("".join(buf))
+    return out
+
+
+# a string token, with backslash escapes
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+_TOKEN_END = re.compile(r'[\s()]')
+
+
+def _lift_strings(text: str, spelled: list[str]) -> str:
+    """``text`` with each string token swapped for the bare token ``"i``,
+    where ``spelled[i]`` is its spelling; equal strings get one placeholder.
+    A string starts a token, which starts the text or follows whitespace, a
+    bracket or a string; no bare token starts with a quote, so only a
+    string can spell a placeholder."""
+    ids: dict[str, str] = {}
+    out: list[str] = []
+    done = 0  # the text before this is copied, and ends a token
+    q = text.find('"')
+    while q >= 0:
+        c = text[q - 1]
+        if q == done or c.isspace() or c == "(" or c == ")":
+            m = _STRING.match(text, q)
+            if m is None:
+                raise UsageError("unterminated string in formula")
+            s = m.group()
+            p = ids.get(s)
+            if p is None:
+                p = ids[s] = f' "{len(spelled)} '
+                spelled.append(s)
+            out += text[done:q], p
+            done = m.end()
+            q = text.find('"', done)
+        else:  # a quote inside a bare token: go on after the token
+            m = _TOKEN_END.search(text, q)
+            q = -1 if m is None else text.find('"', m.end())
+    out.append(text[done:])
     return "".join(out)
 
 
-# A parenthesis, a string with backslash escapes, a bare token, or the
-# opening quote of a string that never closes.
-_TOKEN = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"][^\s()]*|"', re.S)
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = _TOKEN.findall(text)
-    if '"' in tokens:
-        raise UsageError("unterminated string in formula")
-    return tokens
-
-
-# Heads of the lists that hold the whole text, a D group, a let's binding
-# list and one binding; no token has a space, so none is one of them.
-_ROOT, _GROUP, _BINDINGS, _BINDING = "the text", "D group", "let bindings", "let binding"
+# Heads of the lists that hold the whole text, a let's binding list and one
+# binding; no token has a space, so none is one of them.
+_ROOT, _BINDINGS, _BINDING = "the text", "let bindings", "let binding"
 # the length of a list whose form still lacks its one subformula
 _ONE_CHILD_AT = {_ROOT: 1, NOT: 1, K: 2, D: 2, "let": 2, _BINDING: 2}
 
 
 def from_sexp(text: str) -> Formula:
     """Read a formula that `to_sexp` wrote, shared or expanded, in one
-    shift-reduce pass: ``(`` pushes a list that starts with the token after
-    it, other tokens are appended to the innermost list, and ``)`` pops it
-    and reduces it through the node builders into its parent; a D group
-    reduces to its agent set, read once per spelling. A binding ``(name φ)``
-    binds any token as ``name`` in a scope that opens with its let's
-    binding list and closes with the let.
+    streaming shift-reduce pass that keeps no list of the text's tokens or
+    pieces: it walks from one ``(`` to the next with `str.find`, splits the
+    piece between on ``)`` and each run between those on whitespace.
+    ``(`` pushes a list that starts with the token after it, whatever that
+    is (``(`` and ``)`` included); other tokens are appended to the
+    innermost list, and ``)`` pops it and reduces it through the node
+    builders into its parent. A D group reduces to its agent set, read once
+    per spelling. A binding ``(name φ)`` binds any token as ``name`` in a
+    scope that opens with its let's binding list and closes with the let.
     Where a form lacks its one subformula any token is a name, ``)`` too,
-    looked up when its list reduces. Other texts raise `UsageError`."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise UsageError("empty formula")
+    looked up when its list reduces. Other texts raise `UsageError`.
+
+    If the text holds a quote, a copy with each string token swapped for a
+    placeholder that no bare token can spell is read instead. Otherwise the
+    reader's memory follows the widest form and the bound names, not the
+    length of the text."""
+    spelled: list[str] = []
+    if '"' in text:
+        text = _lift_strings(text, spelled)
     env: dict[str, Formula] = {}
     scopes: list[dict[str, Formula]] = []
-    groups: dict[tuple[str, ...], frozenset] = {}
-
-    def look(p) -> Formula:
-        f = p if type(p) is Formula else env.get(p)
-        if f is None:
-            raise UsageError(f"unbound name {p!r} in formula")
-        return f
-
+    groups: dict[str, frozenset] = {}
+    agents: dict[str, int] = {}
     cur = root = [_ROOT]
     stack = [root]
-    it = iter(tokens)
-    for tok in it:
-        if tok == "(":
+    find = text.find
+    pos = 0
+    head_next = False  # the list opened last still lacks its head
+    try:  # a name is looked up as env[name]: a KeyError is an unbound name
+        j = find("(")
+        while True:
+            runs = (text[pos:j] if j >= 0 else text[pos:]).split(")")
+            first = runs[0].split()
+            if head_next:
+                head_next = False
+                if not first:  # the head is a bracket
+                    if len(runs) > 1:
+                        del runs[0]
+                        first = runs[0].split()
+                        first.insert(0, ")")
+                    elif j >= 0:
+                        cur.append("(")
+                        pos = j + 1
+                        j = find("(", pos)
+                        continue
+            cur += first
+            for k in range(1, len(runs)):  # each run after a ")"
+                n = len(cur)
+                head = cur[0]
+                if _ONE_CHILD_AT.get(head) == n:
+                    cur.append(")")
+                else:
+                    stack.pop()
+                    if head == OR or head == AND:
+                        node = _junction(OR if head == OR else AND,
+                                         [p if type(p) is Formula else env[p] for p in cur[1:]])
+                    elif head == K and n == 3:
+                        a = agents.get(cur[1])
+                        if a is None:
+                            a = agents[cur[1]] = _scalar(cur[1], spelled)
+                            _check_agent(a, K)
+                        f = cur[2]
+                        node = _intern(K, a, (f if type(f) is Formula else env[f],))
+                    elif head == D and n == 3 and type(cur[1]) is frozenset:
+                        f = cur[2]
+                        node = _intern(D, cur[1], (f if type(f) is Formula else env[f],))
+                    elif head == _BINDING and n == 3:
+                        f = cur[2]
+                        env[cur[1]] = f if type(f) is Formula else env[f]
+                        cur = stack[-1]
+                        cur += runs[k].split()
+                        continue
+                    elif head == NOT and n == 2:
+                        f = cur[1]
+                        node = _intern(NOT, None, (f if type(f) is Formula else env[f],))
+                    elif head == ATOM and n == 3:
+                        node = atom(_scalar(cur[1], spelled), _scalar(cur[2], spelled, True))
+                    elif head == _BINDINGS and n == 1:
+                        node = _BINDINGS
+                    elif head == "let" and n == 3 and cur[1] == _BINDINGS:
+                        f = cur[2]
+                        node = f if type(f) is Formula else env[f]
+                        env = scopes.pop()
+                    elif head == _ROOT:
+                        raise UsageError("trailing tokens after formula")
+                    else:
+                        raise UsageError(
+                            f"unknown or malformed form ({_spell(head, spelled)} ...) in formula")
+                    cur = stack[-1]
+                    cur.append(node)
+                run = runs[k]
+                if run and run != " ":
+                    cur += run.split()
+            if j < 0:
+                break
+            pos = j + 1
             head = cur[0] if len(cur) == 1 else None
-            if head == D:
-                cur = [_GROUP]
-            elif head == "let":
+            if head == "let":
                 cur = [_BINDINGS]
                 scopes.append(env)
                 env = dict(env)
-            elif head == _BINDINGS:
-                cur = [_BINDING, next(it, None)]
-            else:
-                cur = [next(it, None)]
-            stack.append(cur)
-        elif tok != ")" or _ONE_CHILD_AT.get(cur[0]) == len(cur):
-            cur.append(tok)
-        else:
-            stack.pop()
-            head, n = cur[0], len(cur)
-            if head == AND or head == OR:
-                node = _junction(AND if head == AND else OR, [look(p) for p in cur[1:]])
-            elif head == K and n == 3:
-                node = know(_scalar(cur[1]), look(cur[2]))
-            elif head == ATOM and n == 3:
-                node = atom(_scalar(cur[1]), _scalar(cur[2], value=True))
-            elif head == NOT and n == 2:
-                node = neg(look(cur[1]))
-            elif head == D and n == 3 and type(cur[1]) is frozenset:
-                node = dknow(cur[1], look(cur[2]))
-            elif head == _GROUP:
-                spelled = tuple(cur[1:])
-                node = groups.get(spelled)
-                if node is None:
-                    node = groups[spelled] = frozenset(map(_scalar, spelled))
-            elif head == _BINDING and n == 3:
-                env[cur[1]] = look(cur[2])
-                cur = stack[-1]
+                stack.append(cur)
+                j = find("(", pos)
                 continue
-            elif head == _BINDINGS and n == 1:
-                node = _BINDINGS
-            elif head == "let" and n == 3 and cur[1] == _BINDINGS:
-                node = look(cur[2])
-                env = scopes.pop()
-            elif head == _ROOT:
-                raise UsageError("trailing tokens after formula")
-            else:
-                raise UsageError(f"unknown or malformed form ({head} ...) in formula")
-            cur = stack[-1]
-            cur.append(node)
-    if len(stack) > 1:
-        raise UsageError("unexpected end of formula")
-    if len(root) > 2:
-        raise UsageError("trailing tokens after formula")
-    return look(root[1])
+            if head != D:
+                cur = [_BINDING] if head == _BINDINGS else []
+                stack.append(cur)
+                j = find("(", pos)
+                # "(D (" opens a D form and its group at once
+                if head == _BINDINGS or j - pos != 2 or text[pos:j] != "D ":
+                    head_next = True
+                    continue
+                cur.append(D)
+                pos = j + 1
+            # a group of agents, read once per spelling
+            end = find(")", pos)
+            j = find("(", pos)
+            if end < 0 or 0 <= j < end:
+                raise UsageError("unterminated D group in formula")
+            spelling = text[pos:end]
+            group = groups.get(spelling)
+            if group is None:
+                group = groups[spelling] = frozenset(
+                    _scalar(t, spelled) for t in spelling.split())
+                for a in group:
+                    _check_agent(a, D)
+            cur.append(group)
+            pos = end + 1
+        if len(stack) > 1:
+            raise UsageError("unexpected end of formula")
+        if len(root) == 1:
+            raise UsageError("empty formula")
+        if len(root) > 2:
+            raise UsageError("trailing tokens after formula")
+        f = root[1]
+        return f if type(f) is Formula else env[f]
+    except KeyError as e:
+        raise UsageError(f"unbound name {_spell(e.args[0], spelled)!r} in formula") from None
 
 
-def _scalar(tok, value: bool = False):
-    """The int ``tok`` spells; for an atom's ``value`` also a JSON string."""
-    try:
-        return json.loads(tok) if value and tok[:1] == '"' else int(tok)
-    except (TypeError, ValueError):
-        what = "an int or a string" if value else "an int"
-        raise UsageError(f"expected {what}, got {tok!r}") from None
+def _spell(tok, spelled: list[str]):
+    """``tok`` as the text spelled it, a string placeholder swapped back."""
+    return spelled[int(tok[1:])] if type(tok) is str and tok[:1] == '"' else tok
+
+
+def _scalar(tok, spelled: list[str], value: bool = False):
+    """The int ``tok`` spells; for an atom's ``value`` also a JSON string,
+    which the text has as a placeholder into ``spelled``."""
+    if spelled and type(tok) is str and tok[:1] == '"':
+        tok = spelled[int(tok[1:])]
+        if value:
+            try:
+                return json.loads(tok)
+            except ValueError:
+                pass
+    else:
+        try:
+            return int(tok)
+        except (TypeError, ValueError):
+            pass
+    what = "an int or a string" if value else "an int"
+    raise UsageError(f"expected {what}, got {tok!r}")

@@ -22,6 +22,10 @@ from .logic import (Formula, FormulaClass, ModelTable, atom, classify, disj,
 from .simulation import Mode, SimulationEngine, _check_mode, totality_witnesses
 
 
+# facet x facet cells in one block of D-mode shared-color rows
+_BLOCK_CELLS = 1 << 10
+
+
 def characteristic_formulas(model, mode: Mode, n: int) -> list[list[Formula]]:
     """Level table: entry [k][X] is the depth-k formula at facet X.
 
@@ -108,18 +112,24 @@ def _levels(model, mode: Mode, n: int, top) -> list[dict[int, Formula]]:
                 out[x] = disj(parts)
             return out
     else:
-        # groups[bits]: the colors whose bits are set. A facet's row of
-        # shared-color bits is made with its formula and dropped after, so
-        # no facet x facet table is kept
+        # groups[bits]: the colors whose bits are set. The rows of shared-color
+        # bits are made a block of facets at a time, in one comparison each,
+        # and dropped after their formulas, so no facet x facet table is kept
         vt = model.vertex_table
         weights = 1 << np.arange(n_agents)
         groups = [frozenset(a for a in range(n_agents) if bits >> a & 1)
                   for bits in range(1 << n_agents)]
+        block = max(1, _BLOCK_CELLS // nf)
 
         def level(prev, xs):
-            return {x: disj([dknow(groups[bits], prev[y]) for y, bits
-                             in enumerate(((vt == vt[x]) @ weights).tolist())])
-                    for x in xs}
+            out = {}
+            for start in range(0, len(xs), block):
+                part = xs[start:start + block]
+                rows = ((vt[part, None] == vt) @ weights).tolist()
+                for x, row in zip(part, rows):
+                    out[x] = disj([dknow(groups[bits], prev[y])
+                                   for y, bits in enumerate(row)])
+            return out
 
     for k in range(1, n + 1):
         levels.append(level(levels[-1], cone[k]))

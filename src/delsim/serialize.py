@@ -369,6 +369,8 @@ def model_from_json(d: dict, where: str = "") -> SimplicialModel:
 
 
 def action_to_json(a: ActionModel) -> dict:
+    # preconditions repeat across facets: write each distinct one once
+    texts = {p: to_sexp(p) for p in dict.fromkeys(a.pre)}
     d = {
         "format": ACTION_FORMAT,
         "agents": list(a.workspace.agents),
@@ -376,7 +378,7 @@ def action_to_json(a: ActionModel) -> dict:
         "vertices": [{"id": v.id, "color": v.color, "atoms": []}
                      for v in a.complex.vertices],
         "facets": a.vertex_table.tolist(),
-        "pre": {str(i): to_sexp(p) for i, p in enumerate(a.pre)},
+        "pre": {str(i): texts[p] for i, p in enumerate(a.pre)},
     }
     return d
 
@@ -390,13 +392,21 @@ def action_from_json(d: dict, where: str = "") -> ActionModel:
     if not isinstance(raw_pre, dict):
         raise SchemaError(_ctx(where, "pre: expected an object facet-index -> formula"))
     pre: list[Formula] = []
+    read: dict[str, Formula] = {}  # each distinct text is read once
     for i in range(cx.n_facets):
         if str(i) not in raw_pre:
             raise SchemaError(_ctx(where, f"pre: missing precondition for facet {i}"))
-        try:
-            pre.append(from_sexp(raw_pre[str(i)]))
-        except Exception as e:
-            raise SchemaError(_ctx(where, f"pre[{i}]: {e}")) from e
+        text = raw_pre[str(i)]
+        if not isinstance(text, str):
+            raise SchemaError(_ctx(
+                where, f"pre[{i}]: expected a formula text, got {type(text).__name__}"))
+        f = read.get(text)
+        if f is None:
+            try:
+                f = read[text] = from_sexp(text)
+            except Exception as e:
+                raise SchemaError(_ctx(where, f"pre[{i}]: {e}")) from e
+        pre.append(f)
     try:
         return ActionModel(ws, cx, pre)
     except Exception as e:

@@ -6,21 +6,22 @@ here calls the library's face-class index, the vectorized model table, or
 the simulation engine, so agreement between these oracles and the fast
 paths is meaningful evidence rather than a tautology. From the library the
 snapshot oracle takes only the definitions ``compute_view`` and
-``ordered_partitions``, the s-expression oracle only the tokenizer, and
-both take the formula factories, which intern; the vertex-reader oracle
-takes the ``Vertex`` record and ``SchemaError``.
+``ordered_partitions``; it and the s-expression oracle, which has its own
+tokenizer, take the formula factories, which intern; the vertex-reader
+oracle takes the ``Vertex`` record and ``SchemaError``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from math import comb
 
 from delsim.complexes import Vertex
 from delsim.errors import SchemaError, UsageError
 from delsim.generators import compute_view, ordered_partitions
-from delsim.logic import Formula, _tokenize, atom, conj, disj, dknow, know, neg
+from delsim.logic import Formula, atom, conj, disj, dknow, know, neg
 
 
 # -- raw structure ----------------------------------------------------------
@@ -280,13 +281,26 @@ def classify_naive(f) -> dict:
 
 # -- s-expression reading ---------------------------------------------------
 
+# A parenthesis, a string with backslash escapes, a bare token, or the
+# opening quote of a string that never closes.
+_TOKEN = re.compile(r'[()]|"(?:[^"\\]|\\.)*"|[^\s()"][^\s()]*|"', re.S)
+
+
+def tokenize(text: str) -> list[str]:
+    """The tokens of an s-expression text, in order."""
+    tokens = _TOKEN.findall(text)
+    if '"' in tokens:
+        raise UsageError("unterminated string in formula")
+    return tokens
+
+
 def from_sexp_naive(text: str) -> Formula:
     """A recursive-descent reader of ``to_sexp``'s text: each form is a
     generator that yields the scope of each subformula it needs and gets the
     subformula sent back, so nesting lives on a list, not on the call stack.
     The reference for ``from_sexp``, which must accept and reject the same
     texts and return the same node."""
-    tokens = _tokenize(text)
+    tokens = tokenize(text)
     if not tokens:
         raise UsageError("empty formula")
     pos = 0
@@ -312,7 +326,10 @@ def from_sexp_naive(text: str) -> Formula:
 
     def parse_value(tok: str):
         if tok.startswith('"'):
-            return json.loads(tok)
+            try:
+                return json.loads(tok)
+            except ValueError:
+                raise UsageError(f"expected a JSON string, got {tok!r}") from None
         return parse_int(tok)
 
     def start(env: dict[str, Formula]):

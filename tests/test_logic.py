@@ -319,6 +319,11 @@ def test_sexp_parse_errors():
     ('(atom 0 "escaped end\\")', "unterminated string in formula"),
     (")", "unbound name ')' in formula"),
     ("(atom 0 0))", "trailing tokens after formula"),
+    # a string is named as the text spells it
+    ('(let (("s" (atom 0 0))) (not "t"))', "unbound name '\"t\"' in formula"),
+    ('(K "a" (atom 0 0))', "expected an int, got '\"a\"'"),
+    ('("x y" (atom 0 0))', "unknown or malformed form (\"x y\" ...) in formula"),
+    ('(atom 0 "tab\there")', "expected an int or a string, got '\"tab\\there\"'"),
 ])
 def test_sexp_token_errors(bad, message):
     with pytest.raises(UsageError, match=re.escape(message)):

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from delsim import logic, serialize
 from delsim.errors import UsageError
-from delsim.generators import staircase_setup
+from delsim.generators import agreement_run, snapshot_run, staircase_setup
 from delsim.logic import (FormulaClass, ModelTable, atom, classify, dag_size,
                           from_sexp, neg, to_sexp, tree_size)
 from delsim.models import find_morphism, input_model, standard_workspace
@@ -183,6 +183,38 @@ def test_d_synthesis_keeps_no_facet_by_facet_table(snap1_3):
             tracemalloc.stop()
     assert again is phi
     assert peak < 8 * model.n_facets ** 2 / 4, peak
+
+
+@pytest.mark.parametrize("mode", ["K", "D"])
+def test_characteristic_formula_builds_only_its_cone(snap1_3, mode, monkeypatch):
+    """Every node the builder interns is a node of the formula: nothing
+    outside the facet's backward cone is built, its top level included."""
+    monkeypatch.setattr(logic, "_INTERNED", {})
+    phi = characteristic_formula(snap1_3.model, mode, 2, 0)
+    assert len(logic._INTERNED) == dag_size(phi)
+
+
+def test_reading_an_obstruction_back_holds_no_token_list():
+    """Reading back consensus' K obstruction over 3 agents, 2 rounds and
+    inputs {0, 1}, about 100k tokens in 390 KB of text, peaks under 1 MB:
+    the reader holds the bound names and the open forms, not a list of the
+    text's tokens, which alone would take about 4 MB."""
+    ws = standard_workspace(3, (0, 1))
+    phi = decide_obstruction(snapshot_run(ws, 2).model, agreement_run(ws, 1).model, "K").phi
+    text = to_sexp(phi)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = from_sexp(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert back is phi
+    assert len(text) > 300_000 and peak < 1_000_000, (len(text), peak)
 
 
 def test_an_obstruction_dag_is_walked_once(snap1_2, agree1_2, monkeypatch):

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from delsim import logic, serialize, simulation
 from delsim.complexes import ChromaticComplex, Vertex
-from delsim.logic import (Formula, ModelTable, _tokenize, atom, classify, conj, disj,
+from delsim.logic import (Formula, ModelTable, atom, classify, conj, disj,
                           dknow, from_sexp, know, neg, to_sexp)
 from delsim.errors import SchemaError, UsageError
 from delsim.models import (ActionModel, SimplicialModel, find_morphism,
@@ -462,7 +462,7 @@ def mutated_sexp(draw):
     phi = draw(N_AGENTS.flatmap(lambda n: formulas(n, SEXP_VALUES)))
     if draw(st.booleans()):
         phi = conj([phi, know(0, phi)])
-    tokens = _tokenize(to_sexp(phi, share=draw(st.booleans())))
+    tokens = oracles.tokenize(to_sexp(phi, share=draw(st.booleans())))
     for _ in range(draw(st.integers(1, 3))):
         n = len(tokens)
         i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
@@ -477,6 +477,30 @@ def mutated_sexp(draw):
             else:
                 tokens[i], tokens[j] = tokens[j], tokens[i]
     return " ".join(tokens)
+
+
+# characters an edit may insert: brackets, a quote, an escape, whitespace,
+# a letter and a digit
+SEXP_CHARS = '()"\\ \t\nx0'
+
+
+@st.composite
+def char_edited_sexp(draw):
+    """The shared or expanded text of a random formula after one to three
+    character-level edits (delete, insert or swap two neighbours), which
+    can open, close, split or join strings and tokens."""
+    phi = draw(N_AGENTS.flatmap(lambda n: formulas(n, SEXP_VALUES)))
+    text = to_sexp(phi, share=draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["delete", "insert", "swap"]))
+        if kind == "insert":
+            text = text[:i] + draw(st.sampled_from(SEXP_CHARS)) + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + text[i + 1:i + 2] + text[i:i + 1] + text[i + 2:]
+    return text
 
 
 def assert_reads_like_naive(text: str) -> Formula | None:
@@ -495,6 +519,12 @@ def assert_reads_like_naive(text: str) -> Formula | None:
 @SETTINGS
 @given(mutated_sexp())
 def test_from_sexp_matches_naive_reader(text):
+    assert_reads_like_naive(text)
+
+
+@SETTINGS
+@given(char_edited_sexp())
+def test_from_sexp_matches_naive_reader_after_character_edits(text):
     assert_reads_like_naive(text)
 
 
@@ -518,6 +548,23 @@ def test_from_sexp_matches_naive_reader(text):
     ("(let ((x (atom 0 0) (atom 1 1))) x)", False),
     ("(D 0 (atom 0 0))", False),
     ("((atom 0 0))", False),
+    # strings that hold brackets, whitespace or escaped quotes
+    ('(or (atom 0 "a(b") (atom 0 "a)b") (atom 1 "a b"))', True),
+    ('(atom 0 "say \\"(hi)\\" ")', True),
+    ('(atom 0 "a) (atom 1 1)', False),
+    ('(atom 0 "a"b)', False),
+    ('(D ("0") (atom 0 0))', False),
+    ('("and" (atom 0 0))', False),
+    # strings and quoted bare tokens as binding names
+    ('(let (("s" (atom 0 "s")) ("a b" (not "s"))) (and "s" (K 1 "a b")))', True),
+    ('(let (("x" (atom 0 0)) (x (atom 1 1))) (and "x" x))', True),
+    ('(let ((a"b" (atom 0 0))) a"b")', True),
+    ('(let (("s" (atom 0 0))) "t")', False),
+    ('(let (("a" (atom 0 0)) ("b" (atom 1 1))) (and "a""b"))', True),
+    ('(atom 0 "a"")', False),
+    # tabs, newlines and carriage returns between tokens
+    ("(and\t(atom 0 0)\n(K 1\r\n(atom 1 1)))", True),
+    ("\n(let\t((x\n(atom 0 0)))\t(D\n(0\t1)\nx))\n", True),
 ])
 def test_from_sexp_matches_naive_reader_on_edge_texts(text, accepted):
     assert (assert_reads_like_naive(text) is not None) == accepted

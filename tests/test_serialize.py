@@ -47,6 +47,28 @@ def test_action_round_trip_snapshot():
     assert back.n_facets == act.n_facets == 351
 
 
+def test_action_json_round_trip_is_byte_identical():
+    """Each distinct precondition is written once and read once; the
+    document still spells every facet's text, and reads back to the same
+    nodes and the same bytes."""
+    act = snapshot_action(standard_workspace(3), 1).action
+    doc = serialize.action_to_json(act)
+    assert doc["pre"] == {str(i): to_sexp(p) for i, p in enumerate(act.pre)}
+    text = serialize.dumps(doc)
+    back = serialize.action_from_json(json.loads(text))
+    assert all(b is a for a, b in zip(act.pre, back.pre))
+    assert serialize.dumps(serialize.action_to_json(back)) == text
+
+
+@pytest.mark.parametrize("bad", ["(atom 0", ["(atom 0 0)"], None])
+def test_action_reports_a_bad_precondition_at_its_first_facet(bad):
+    act = snapshot_action(standard_workspace(2, (0, 1)), 1).action
+    doc = json.loads(serialize.dumps(serialize.action_to_json(act)))
+    doc["pre"]["3"] = doc["pre"]["1"] = doc["pre"]["5"] = bad
+    with pytest.raises(SchemaError, match=re.escape("pre[1]: ")):
+        serialize.action_from_json(doc)
+
+
 def test_relation_round_trip():
     r = Relation.from_pairs((3, 4), [(0, 1), (2, 3)])
     doc = serialize.relation_to_json(r, mode="K", total=False)
