@@ -41,21 +41,16 @@ def test_action_round_trip():
 
 
 def test_action_round_trip_snapshot():
-    ws = standard_workspace(3)
-    act = snapshot_action(ws, 1).action
-    back = serialize.action_from_json(serialize.action_to_json(act))
-    assert back.n_facets == act.n_facets == 351
-
-
-def test_action_json_round_trip_is_byte_identical():
     """Each distinct precondition is written once and read once; the
     document still spells every facet's text, and reads back to the same
     nodes and the same bytes."""
-    act = snapshot_action(standard_workspace(3), 1).action
+    ws = standard_workspace(3)
+    act = snapshot_action(ws, 1).action
     doc = serialize.action_to_json(act)
     assert doc["pre"] == {str(i): to_sexp(p) for i, p in enumerate(act.pre)}
     text = serialize.dumps(doc)
     back = serialize.action_from_json(json.loads(text))
+    assert back.n_facets == act.n_facets == 351
     assert all(b is a for a, b in zip(act.pre, back.pre))
     assert serialize.dumps(serialize.action_to_json(back)) == text
 
