@@ -10,8 +10,8 @@ from .complexes import ChromaticComplex, Facet, Vertex, validate_complex
 from .errors import (DelsimError, InternalConsistencyError, SchemaError,
                      UsageError)
 from .logic import (Formula, FormulaClass, ModelTable, atom, classify, conj,
-                    dag_size, disj, dknow, eval_formula, from_sexp, know, neg,
-                    to_sexp, tree_size)
+                    dag_size, disj, dknow, from_sexp, know, neg, to_sexp,
+                    tree_size)
 from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
                      Workspace, find_morphism, graph_of_morphism, input_model,
                      product_update, standard_workspace)
@@ -30,8 +30,8 @@ __all__ = [
     "SimplicialModel", "SimulationChain", "SimulationEngine", "UsageError",
     "VerificationReport", "Vertex", "Workspace", "atom", "classify",
     "characteristic_formula", "characteristic_formulas", "conj", "dag_size",
-    "decide_obstruction", "disj", "dknow", "eval_formula", "find_morphism",
-    "from_sexp", "graph_of_morphism", "input_model", "know", "neg",
-    "product_update", "standard_workspace", "to_sexp", "totality_witnesses",
-    "tree_size", "validate_complex", "verify_obstruction",
+    "decide_obstruction", "disj", "dknow", "find_morphism", "from_sexp",
+    "graph_of_morphism", "input_model", "know", "neg", "product_update",
+    "standard_workspace", "to_sexp", "totality_witnesses", "tree_size",
+    "validate_complex", "verify_obstruction",
 ]

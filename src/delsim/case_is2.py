@@ -183,22 +183,6 @@ def location_violations(snap: SnapshotRun, rel: ConflictRelation) -> list[tuple[
     return [divmod(key, rel.n_vertices) for key in bad.tolist()]
 
 
-def everyone_decides_input_of(agree: AgreementRun, agent: int,
-                              inputs: tuple) -> int | None:
-    """Output facet index where all three agents decide ``inputs[agent]``
-    under the given inputs, or None if absent."""
-    want = tuple([inputs[agent]] * 3)
-    for j in by_input_candidates(agree, inputs):
-        if agree.facet_decisions(j) == want:
-            return j
-    return None
-
-
-def by_input_candidates(agree: AgreementRun, inputs: tuple) -> list[int]:
-    return [j for j in range(agree.model.n_facets)
-            if agree.run.facet_inputs[j] == tuple(inputs)]
-
-
 def conflict_report(rel: ConflictRelation) -> dict:
     return {
         "p": rel.p,

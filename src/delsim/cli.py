@@ -27,7 +27,7 @@ from .errors import UsageError
 from .generators import (DiGraph, agreement_action, agreement_run,
                          constant_true_protocol, domination_number,
                          knowall_action, snapshot_action, snapshot_run,
-                         staircase_task, standard_two_bit_workspace)
+                         staircase_task)
 from .logic import ModelTable, to_sexp
 from .models import (ActionModel, Workspace, find_morphism, input_model,
                      product_update, standard_workspace)
@@ -137,7 +137,7 @@ def _gen_action(args, ws: Workspace) -> ActionModel:
         return agreement_action(ws, args.k).action
     if args.family == "staircase":
         if args.protocol:
-            return constant_true_protocol(standard_two_bit_workspace())
+            return constant_true_protocol(ws)
         return staircase_task(args.max_decision).action
     graphs = []
     for edges in _read(args.graphs, serialize.graphs_from_json):

@@ -5,10 +5,9 @@ set of atomic propositions, facets are the maximal simplices, and only facets
 are materialized (all lower-dimensional simplices are their subsets). Facet
 intersections are the carrier of indistinguishability; the library reads
 them from :meth:`SimplicialModel.face_classes` and ``vertex_table``. The
-per-facet adjacency lists here (the color sets of pairwise intersections),
-and the per-vertex facet lists they are built from, stay only as the
-benchmark's trace target (``perfbench/tracing.py``); nothing else in the
-library reads them.
+per-facet adjacency lists here (the color sets of pairwise intersections)
+stay only as the benchmark's trace target (``perfbench/tracing.py``);
+nothing else in the library reads them.
 """
 
 from __future__ import annotations
@@ -146,20 +145,15 @@ class ChromaticComplex:
                 for i, row in enumerate(self.facet_table.tolist())]
 
     @cached_property
-    def vertex_facets(self) -> list[list[int]]:
-        """For each vertex, the facets containing it."""
-        table: list[list[int]] = [[] for _ in self.vertices]
-        for f in self.facets:
-            for v in f.vertices:
-                table[v].append(f.index)
-        return table
-
-    @cached_property
     def adjacency(self) -> list[list[tuple[int, frozenset[int]]]]:
         """Per facet: the other facets sharing >= 1 vertex, with the shared
         color set. Self is excluded (its color set is all of Pi)."""
+        facets_at: list[list[int]] = [[] for _ in self.vertices]
+        for f in self.facets:
+            for v in f.vertices:
+                facets_at[v].append(f.index)
         shared: list[dict[int, set[int]]] = [{} for _ in self.facets]
-        for v, owners in enumerate(self.vertex_facets):
+        for v, owners in enumerate(facets_at):
             c = self.vertices[v].color
             for i in owners:
                 row = shared[i]

@@ -20,7 +20,8 @@ from .complexes import ChromaticComplex, Vertex, first_appearance_ids, intern_id
 from .errors import InternalConsistencyError, UsageError
 from .logic import Formula, atom, conj, disj, neg
 from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
-                     Value, Workspace, input_model, product_update)
+                     Value, Workspace, input_model, product_update,
+                     standard_workspace)
 from .simulation import Relation, SimulationEngine
 
 # A view is an input value (round 0) or a frozenset of (agent, view) pairs.
@@ -266,10 +267,6 @@ def out_neighbors(g: DiGraph, p: int) -> frozenset:
     return frozenset(q for (q, pp) in g.edges if pp == p)
 
 
-def out_neighbors_of_set(g: DiGraph, ps: Iterable[int]) -> frozenset:
-    return frozenset().union(frozenset(), *(out_neighbors(g, p) for p in ps))
-
-
 def compose(h: DiGraph, g: DiGraph) -> DiGraph:
     """Two-round composition (g first, then h): p reaches q when someone
     p hears from in g is heard by q in h."""
@@ -294,7 +291,7 @@ def domination_number(g: DiGraph) -> int:
     everyone = frozenset(range(g.n))
     for size in range(1, g.n + 1):
         for ps in itertools.combinations(range(g.n), size):
-            if out_neighbors_of_set(g, ps) == everyone:
+            if frozenset().union(*(out_neighbors(g, p) for p in ps)) == everyone:
                 return size
     raise InternalConsistencyError("self-loops guarantee domination by all agents")
 
@@ -342,16 +339,13 @@ class StaircaseTask:
     facet_decisions: tuple[tuple[int, int], ...]
 
 
-def staircase_task(max_decision: int,
-                   workspace: Workspace | None = None) -> StaircaseTask:
+def staircase_task(max_decision: int) -> StaircaseTask:
     """Two agents decide naturals with 0 <= d0 - d1 <= 1; the precondition
     ties each decision's parity to that agent's input bit. Decisions are
     truncated to 0..max_decision, so the top facet has no successor."""
     if max_decision < 1:
         raise UsageError("max_decision must be >= 1")
-    ws = workspace if workspace is not None else standard_two_bit_workspace()
-    if ws.n_agents != 2 or set(ws.values) != {0, 1}:
-        raise UsageError("staircase task needs 2 agents with values {0, 1}")
+    ws = standard_workspace(2, (0, 1))
     pairs = []
     for d1 in range(max_decision + 1):
         for d0 in (d1, d1 + 1):
@@ -364,10 +358,6 @@ def staircase_task(max_decision: int,
     pre = [conj([atom(0, d0 % 2), atom(1, d1 % 2)]) for d0, d1 in pairs]
     action = ActionModel(ws, _action_complex(2, vertex_ids, facets), pre)
     return StaircaseTask(max_decision, action, tuple(pairs))
-
-
-def standard_two_bit_workspace() -> Workspace:
-    return Workspace(("p0", "p1"), (0, 1))
 
 
 def constant_true_protocol(workspace: Workspace) -> ActionModel:
@@ -402,9 +392,6 @@ class ModelRun:
 
     def action_facet(self, product_facet: int) -> int:
         return int(self.result.facet_sources[product_facet, 1])
-
-    def source_facet(self, product_facet: int) -> int:
-        return int(self.result.facet_sources[product_facet, 0])
 
     @cached_property
     def facet_inputs(self) -> list[tuple[Value, ...]]:
@@ -505,8 +492,8 @@ class StaircaseSetup:
 
 
 def staircase_setup(max_decision: int) -> StaircaseSetup:
-    ws = standard_two_bit_workspace()
-    task = staircase_task(max_decision, ws)
+    task = staircase_task(max_decision)
+    ws = task.action.workspace
     return StaircaseSetup(task,
                           _run(ws, constant_true_protocol(ws)),
                           _run(ws, task.action))

@@ -478,11 +478,6 @@ def _unpack(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, count=n, bitorder="little").view(bool)
 
 
-def eval_formula(model, facet: int, f: Formula) -> bool:
-    """One-off query with a fresh per-evaluation cache."""
-    return ModelTable(model).check(facet, f)
-
-
 # ---------------------------------------------------------------------------
 # S-expressions
 

@@ -242,8 +242,10 @@ def model_to_json(m: SimplicialModel) -> dict:
         "agents": list(m.workspace.agents),
         "values": list(m.workspace.values),
         "vertices": [
+            # ints before strs: a vertex may carry an int and a str value of its agent
             {"id": v.id, "color": v.color,
-             "atoms": sorted([[a, val] for (a, val) in v.atoms])}
+             "atoms": sorted([[a, val] for (a, val) in v.atoms],
+                             key=lambda p: (p[0], type(p[1]) is str, p[1]))}
             for v in m.complex.vertices
         ],
         "facets": m.vertex_table.tolist(),
@@ -505,12 +507,8 @@ def load_json(path: str, stream: IO | None = None) -> dict:
     text = _read_text(path, stream)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
         raise SchemaError(f"{path}: invalid JSON ({e})") from e
-
-
-def load_model(path: str) -> SimplicialModel:
-    return model_from_json(load_json(path), where=path)
 
 
 def load_formula(path: str, stream: IO | None = None) -> Formula:

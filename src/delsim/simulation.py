@@ -142,17 +142,9 @@ class Relation:
         lo, hi = np.searchsorted(self.xs, (i, i + 1))
         return self.js[lo:hi]
 
-    def contains(self, i: int, j: int) -> bool:
-        return bool((self.partners(i) == range(self.dims[1])[j]).any())
-
     def pairs(self) -> list[tuple[int, int]]:
         """All related pairs in lexicographic order."""
         return list(zip(self.xs.tolist(), self.js.tolist()))
-
-    def row(self, i: int) -> np.ndarray:
-        out = np.zeros(self.dims[1], dtype=bool)
-        out[self.partners(i)] = True
-        return out
 
     def is_total(self) -> bool:
         return bool(np.bincount(self.xs, minlength=self.dims[0]).all())

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from delsim.case_is2 import (ConflictRelation, by_input_candidates, conflict_relation,
-                             conflict_report, everyone_decides_input_of,
+from delsim.case_is2 import (ConflictRelation, conflict_relation, conflict_report,
                              explicit_sa2_relation, initial_block_facets,
                              location_violations)
 from delsim.errors import UsageError
@@ -131,16 +130,6 @@ def test_explicit_relation_matches_oracle(request, snap, agree2_3):
 def test_explicit_relation_needs_k2(snap_si, ws3):
     with pytest.raises(UsageError):
         explicit_sa2_relation(snap_si, agreement_run(ws3, 1))
-
-
-def test_decision_lookup_helpers(ws3):
-    agree = agreement_run(ws3, 2)
-    inputs = (0, 1, 2)
-    js = by_input_candidates(agree, inputs)
-    assert len(js) == 21  # all maps into a 3-value set minus the surjections
-    j = everyone_decides_input_of(agree, 0, inputs)
-    assert j is not None and agree.facet_decisions(j) == (0, 0, 0)
-    assert everyone_decides_input_of(agree, 0, (9, 9, 9)) is None
 
 
 def test_conflict_report_shape(snap_si):

@@ -246,6 +246,39 @@ def test_json_booleans_are_not_ids(tmp_path, capsys, change):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    json.dumps(_two_agent_model()).replace('"id": 0', '"id": ' + "1" * 5000, 1),
+], ids=["nested-past-the-recursion-limit", "id-past-the-int-digit-limit"])
+def test_json_the_parser_refuses_is_schema_error(tmp_path, capsys, text):
+    """JSON that Python's parser refuses with a RecursionError or a
+    ValueError (its 4300-digit int limit) exits 2 naming the file."""
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    assert run_cli(["simulate", "--left", str(model), "--right", str(model),
+                    "--mode", "K"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: invalid JSON ") and err.count("\n") == 1
+
+
+def test_update_writes_a_vertex_with_int_and_str_atoms(tmp_path):
+    """One vertex may carry an int and a str value of its agent: the writer
+    orders its atoms ints first rather than comparing an int with a str."""
+    doc = {"format": "delsim-model/1", "agents": ["p0", "p1"], "values": [0, "a"],
+           "vertices": [{"id": 0, "color": 0, "atoms": [[0, 0], [0, "a"]]},
+                        {"id": 1, "color": 1, "atoms": [[1, 0]]}],
+           "facets": [[0, 1]]}
+    mixed, action, out = (tmp_path / name for name in ("mixed.json", "is.json", "out.json"))
+    mixed.write_text(json.dumps(doc))
+    assert run_cli(["gen", "is", "--agents", "2", "--values", "0,a", "--rounds", "1",
+                    "-o", str(action)]) == 0
+    assert run_cli(["update", "--input", str(mixed), "--action", str(action),
+                    "-o", str(out)]) == 0
+    written = read(out)
+    assert serialize.model_to_json(serialize.model_from_json(written)) == written
+    assert [[0, 0], [0, "a"]] in [v["atoms"] for v in written["vertices"]]
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2],
     {"graphs": [[[0, 1]]]},

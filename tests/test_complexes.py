@@ -100,12 +100,6 @@ def test_input_complex_two_agents_is_a_cycle():
         assert sorted(len(sh) for _, sh in nbrs) == [1, 1]
 
 
-def test_vertex_facets_covers_every_facet():
-    cx = make_triangle_pair()
-    assert set(cx.vertex_facets[0]) == {0, 1}
-    assert set(cx.vertex_facets[2]) == {0}
-
-
 # -- the array path against the per-facet reference ---------------------------
 
 def _build(cls, n_agents, vertices, facets):

@@ -15,8 +15,7 @@ from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
                                domination_number, explicit_agreement_relation,
                                in_neighbors, knowall_run, ordered_partitions,
                                out_neighbors, round_prefix_morphism,
-                               snapshot_action, snapshot_run, staircase_task,
-                               standard_two_bit_workspace)
+                               snapshot_action, snapshot_run, staircase_task)
 from delsim.models import graph_of_morphism, standard_workspace
 from delsim.simulation import SimulationEngine
 
@@ -246,7 +245,7 @@ def test_explicit_agreement_relation_clauses(snap1_3, agree2_3):
     seen = [{x for _, x in oracles.view_leaves(snap1_3.vertex_info(v)[2])}
             for v in facet.vertices]
     for j in range(agree2_3.model.n_facets):
-        if rel.contains(i, j):
+        if j in rel.partners(i):
             decisions = agree2_3.facet_decisions(j)
             assert all(decisions[a] in seen[a] for a in range(3))
 
@@ -361,7 +360,7 @@ def test_staircase_labels_follow_parity(stair):
 def test_constant_true_protocol_reproduces_input_model(stair):
     m = stair.protocol_run.model
     assert m.n_facets == 4
-    action = constant_true_protocol(standard_two_bit_workspace())
+    action = constant_true_protocol(standard_workspace(2, (0, 1)))
     assert action.n_facets == 1
     labels = {m.label(i) for i in range(4)}
     assert len(labels) == 4

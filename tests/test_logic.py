@@ -13,8 +13,8 @@ from delsim import logic
 from delsim.errors import UsageError
 from delsim.generators import snapshot_run, staircase_setup
 from delsim.logic import (FormulaClass, ModelTable, atom, classify, conj,
-                          dag_size, disj, dknow, eval_formula, from_sexp, know,
-                          neg, to_sexp, tree_size)
+                          dag_size, disj, dknow, from_sexp, know, neg, to_sexp,
+                          tree_size)
 from delsim.complexes import ChromaticComplex, Vertex
 from delsim.models import SimplicialModel, input_model, standard_workspace
 
@@ -273,12 +273,6 @@ def test_model_table_matches_naive_eval_past_one_word():
                     for m in (task, protocol) for x in range(m.n_facets)]
             assert both.satisfies(psi).tolist() == want
             assert alone.satisfies(psi).tolist() == want[:task.n_facets]
-
-
-def test_eval_formula_wrapper():
-    ws = standard_workspace(2, (0, 1))
-    m = input_model(ws)
-    assert eval_formula(m, 0, disj([atom(0, 0), atom(0, 1)]))
 
 
 def test_sexp_round_trip_shared_and_expanded():

@@ -70,7 +70,7 @@ def test_product_facets_inherit_source_labels(snap1_2):
     run = snap1_2.run
     src = run.input
     for i in range(snap1_2.model.n_facets):
-        assert snap1_2.model.label(i) == src.label(run.source_facet(i))
+        assert snap1_2.model.label(i) == src.label(run.result.facet_sources[i, 0])
 
 
 def test_product_update_provenance_well_formed(agree1_2):

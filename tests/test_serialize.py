@@ -165,7 +165,7 @@ def test_action_rejects_missing_precondition():
 
 def test_load_helpers_report_file_errors(tmp_path):
     with pytest.raises(SchemaError):
-        serialize.load_model(str(tmp_path / "absent.json"))
+        serialize.load_json(str(tmp_path / "absent.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SchemaError):
