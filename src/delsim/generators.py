@@ -84,23 +84,6 @@ def ordered_partitions(n_agents: int) -> list[OrderedPartition]:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot views
-
-def compute_view(inputs: Sequence[Value], gammas: Sequence[OrderedPartition],
-                 agent: int) -> View:
-    """Agent's knowledge after running the given round schedules.
-
-    Round 0 is the agent's own input; each later round snapshots the previous
-    views of everyone in the agent's stage of that round's schedule.
-    """
-    if not gammas:
-        return inputs[agent]
-    head, last = gammas[:-1], gammas[-1]
-    return frozenset((p, compute_view(inputs, head, p))
-                     for p in last.stage_of(agent))
-
-
-# ---------------------------------------------------------------------------
 # Immediate-snapshot protocol
 
 @dataclass
@@ -135,11 +118,10 @@ def snapshot_action(workspace: Workspace, rounds: int,
     each agent's round-(r-1) id where that agent is in its stage, -1
     elsewhere. Interning the rows by first appearance gives the round's
     vertex ids, and at the last round interning the runs' rows gives the
-    facets. Each new vertex's nested view (:func:`compute_view`'s) is built
-    once, from its first row, and so are its view masks: its own agent and
-    input bits at round 0, later the OR of its stage members' masks. Vertex
-    and facet ids follow first appearance in (inputs, schedules, agent)
-    order.
+    facets. Each new vertex's nested view is built once, from its first
+    row, and so are its view masks: its own agent and input bits at round
+    0, later the OR of its stage members' masks. Vertex and facet ids
+    follow first appearance in (inputs, schedules, agent) order.
     """
     if rounds < 1:
         raise UsageError("need at least one round")

@@ -272,8 +272,8 @@ class ModelTable:
     is ``D {a} phi``. A modal step is phi's own vector when phi holds
     everywhere or every class is one facet, and a constant when there is one
     class. Otherwise it takes the facets where phi fails and closes them
-    under the group's face classes (`_Classes`, read once per group); the
-    step holds off that closure.
+    under the group's face classes (`_Classes`, built once per K agent or D
+    agent set); the step holds off that closure.
     """
 
     def __init__(self, *models):
@@ -286,9 +286,8 @@ class ModelTable:
         self.n_facets = sum(m.n_facets for m in models)
         self._full = (1 << self.n_facets) - 1
         self._vals: dict[Formula, tuple[int, np.ndarray]] = {}
-        self._classes: dict[tuple[int, ...], _Classes] = {}
-        # the same records by modal payload, K's agent or D's agent set, so a
-        # modal step neither builds nor sorts its group
+        # face classes by modal payload, K's agent or D's agent set, so a
+        # modal step builds and sorts its group once
         self._modal: dict[int | frozenset, _Classes] = {}
 
     def satisfies(self, f: Formula) -> np.ndarray:
@@ -352,23 +351,19 @@ class ModelTable:
         return full ^ classes.close(full ^ child)
 
     def _group(self, group: tuple[int, ...]) -> _Classes:
-        """The face classes of the sorted agent tuple ``group``."""
-        found = self._classes.get(group)
-        if found is None:
-            # each model's classes numbered after the previous model's, and
-            # its facets after the previous model's facets
-            ids, order, starts = [], [], []
-            n_classes = n_facets = 0
-            for m in self.models:
-                i, o, s = m.face_classes(group)
-                ids.append(i + n_classes)
-                order.append(o + n_facets)
-                starts.append(s + n_facets)
-                n_classes += len(s)
-                n_facets += m.n_facets
-            found = self._classes[group] = _Classes(
-                np.concatenate(ids), np.concatenate(order), np.concatenate(starts))
-        return found
+        """The face classes of the sorted agent tuple ``group``, built anew."""
+        # each model's classes numbered after the previous model's, and its
+        # facets after the previous model's facets
+        ids, order, starts = [], [], []
+        n_classes = n_facets = 0
+        for m in self.models:
+            i, o, s = m.face_classes(group)
+            ids.append(i + n_classes)
+            order.append(o + n_facets)
+            starts.append(s + n_facets)
+            n_classes += len(s)
+            n_facets += m.n_facets
+        return _Classes(np.concatenate(ids), np.concatenate(order), np.concatenate(starts))
 
 
 # A group whose classes hold more distinct (target - source) facet offsets
@@ -594,67 +589,82 @@ def _lift_strings(text: str, spelled: list[str]) -> str:
     return "".join(out)
 
 
-# Heads of the lists that hold the whole text, a let's binding list and one
-# binding; no token has a space, so none is one of them.
-_ROOT, _BINDINGS, _BINDING = "the text", "let bindings", "let binding"
+# Heads of the lists that hold the whole text, a let's binding list, one
+# binding and a D group; no token has a space, so none is one of them.
+_ROOT, _BINDINGS, _BINDING, _GROUP = "the text", "let bindings", "let binding", "D group"
 # the length of a list whose form still lacks its one subformula
 _ONE_CHILD_AT = {_ROOT: 1, NOT: 1, K: 2, D: 2, "let": 2, _BINDING: 2}
+# a piece of the text ends just before the first "(" this far or further
+# past its start
+_PIECE = 1024
+# an error quotes at most this many characters of a token
+_SHOWN = 40
 
 
 def from_sexp(text: str) -> Formula:
     """Read a formula that `to_sexp` wrote, shared or expanded, in one
-    streaming shift-reduce pass that keeps no list of the text's tokens or
-    pieces: it walks from one ``(`` to the next with `str.find`, splits the
-    piece between on ``)`` and each run between those on whitespace.
+    shift-reduce pass over its tokens that keeps no list of them. The text
+    is read in pieces, each ending just before the first ``(`` at least
+    `_PIECE` characters past its start, so that no token spans a cut, and
+    a piece's tokens are its runs between brackets and whitespace.
+
     ``(`` pushes a list that starts with the token after it, whatever that
-    is (``(`` and ``)`` included); other tokens are appended to the
-    innermost list, and ``)`` pops it and reduces it through the node
-    builders into its parent. A D group reduces to its agent set, read once
-    per spelling. A binding ``(name φ)`` binds any token as ``name`` in a
-    scope that opens with its let's binding list and closes with the let.
-    Where a form lacks its one subformula any token is a name, ``)`` too,
-    looked up when its list reduces. Other texts raise `UsageError`.
+    is: a form's head, or a binding's name when the innermost list is a
+    let's binding list. Directly under ``D`` it pushes the D group, which
+    reduces to its agent set, read once per spelling, and directly under
+    ``let`` the binding list, with a scope that closes with the let. Other
+    tokens are appended to the innermost list, and ``)`` pops it and
+    reduces it through the node builders into its parent. Where a form
+    lacks its one subformula any token is a name, ``)`` too, looked up when
+    its list reduces. Other texts raise `UsageError`.
 
     If the text holds a quote, a copy with each string token swapped for a
     placeholder that no bare token can spell is read instead. Otherwise the
-    reader's memory follows the widest form and the bound names, not the
-    length of the text."""
+    reader's memory follows the widest form, one piece and the bound names,
+    not the length of the text."""
     spelled: list[str] = []
     if '"' in text:
         text = _lift_strings(text, spelled)
     env: dict[str, Formula] = {}
     scopes: list[dict[str, Formula]] = []
-    groups: dict[str, frozenset] = {}
+    groups: dict[tuple, frozenset] = {}
     agents: dict[str, int] = {}
     cur = root = [_ROOT]
     stack = [root]
-    find = text.find
-    pos = 0
-    head_next = False  # the list opened last still lacks its head
+    raw = False  # the next token goes into the innermost list as it is
+    find, end, pos = text.find, len(text), 0
     try:  # a name is looked up as env[name]: a KeyError is an unbound name
-        j = find("(")
-        while True:
-            runs = (text[pos:j] if j >= 0 else text[pos:]).split(")")
-            first = runs[0].split()
-            if head_next:
-                head_next = False
-                if not first:  # the head is a bracket
-                    if len(runs) > 1:
-                        del runs[0]
-                        first = runs[0].split()
-                        first.insert(0, ")")
-                    elif j >= 0:
-                        cur.append("(")
-                        pos = j + 1
-                        j = find("(", pos)
-                        continue
-            cur += first
-            for k in range(1, len(runs)):  # each run after a ")"
-                n = len(cur)
-                head = cur[0]
-                if _ONE_CHILD_AT.get(head) == n:
-                    cur.append(")")
+        while pos < end:
+            cut = find("(", pos + _PIECE)
+            if cut < 0:
+                cut = end
+            for tok in text[pos:cut].replace("(", " ( ").replace(")", " ) ").split():
+                if raw:
+                    cur.append(tok)
+                    raw = False
+                elif tok == "(":
+                    head = cur[0]
+                    if head == _BINDINGS:
+                        cur = [_BINDING]
+                        raw = True
+                    elif len(cur) > 1 or head != D and head != "let":
+                        cur = []
+                        raw = True
+                    elif head == D:
+                        cur = [_GROUP]
+                    else:
+                        cur = [_BINDINGS]
+                        scopes.append(env)
+                        env = dict(env)
+                    stack.append(cur)
+                elif tok != ")":
+                    cur.append(tok)
                 else:
+                    n = len(cur)
+                    head = cur[0]
+                    if _ONE_CHILD_AT.get(head) == n:
+                        cur.append(tok)
+                        continue
                     stack.pop()
                     if head == OR or head == AND:
                         node = _junction(OR if head == OR else AND,
@@ -666,6 +676,14 @@ def from_sexp(text: str) -> Formula:
                             _check_agent(a, K)
                         f = cur[2]
                         node = _intern(K, a, (f if type(f) is Formula else env[f],))
+                    elif head == _GROUP:
+                        key = tuple(cur)
+                        node = groups.get(key)
+                        if node is None:
+                            node = groups[key] = frozenset(
+                                _scalar(t, spelled) for t in cur[1:])
+                            for a in node:
+                                _check_agent(a, D)
                     elif head == D and n == 3 and type(cur[1]) is frozenset:
                         f = cur[2]
                         node = _intern(D, cur[1], (f if type(f) is Formula else env[f],))
@@ -673,7 +691,6 @@ def from_sexp(text: str) -> Formula:
                         f = cur[2]
                         env[cur[1]] = f if type(f) is Formula else env[f]
                         cur = stack[-1]
-                        cur += runs[k].split()
                         continue
                     elif head == NOT and n == 2:
                         f = cur[1]
@@ -689,48 +706,11 @@ def from_sexp(text: str) -> Formula:
                     elif head == _ROOT:
                         raise UsageError("trailing tokens after formula")
                     else:
-                        raise UsageError(
-                            f"unknown or malformed form ({_spell(head, spelled)} ...) in formula")
+                        raise UsageError("unknown or malformed form "
+                                         f"({_shown(head, spelled, quote=False)} ...) in formula")
                     cur = stack[-1]
                     cur.append(node)
-                run = runs[k]
-                if run and run != " ":
-                    cur += run.split()
-            if j < 0:
-                break
-            pos = j + 1
-            head = cur[0] if len(cur) == 1 else None
-            if head == "let":
-                cur = [_BINDINGS]
-                scopes.append(env)
-                env = dict(env)
-                stack.append(cur)
-                j = find("(", pos)
-                continue
-            if head != D:
-                cur = [_BINDING] if head == _BINDINGS else []
-                stack.append(cur)
-                j = find("(", pos)
-                # "(D (" opens a D form and its group at once
-                if head == _BINDINGS or j - pos != 2 or text[pos:j] != "D ":
-                    head_next = True
-                    continue
-                cur.append(D)
-                pos = j + 1
-            # a group of agents, read once per spelling
-            end = find(")", pos)
-            j = find("(", pos)
-            if end < 0 or 0 <= j < end:
-                raise UsageError("unterminated D group in formula")
-            spelling = text[pos:end]
-            group = groups.get(spelling)
-            if group is None:
-                group = groups[spelling] = frozenset(
-                    _scalar(t, spelled) for t in spelling.split())
-                for a in group:
-                    _check_agent(a, D)
-            cur.append(group)
-            pos = end + 1
+            pos = cut
         if len(stack) > 1:
             raise UsageError("unexpected end of formula")
         if len(root) == 1:
@@ -740,22 +720,31 @@ def from_sexp(text: str) -> Formula:
         f = root[1]
         return f if type(f) is Formula else env[f]
     except KeyError as e:
-        raise UsageError(f"unbound name {_spell(e.args[0], spelled)!r} in formula") from None
+        raise UsageError(f"unbound name {_shown(e.args[0], spelled)} in formula") from None
 
 
-def _spell(tok, spelled: list[str]):
-    """``tok`` as the text spelled it, a string placeholder swapped back."""
-    return spelled[int(tok[1:])] if type(tok) is str and tok[:1] == '"' else tok
+def _shown(tok, spelled: list[str], quote: bool = True) -> str:
+    """``tok`` as the text spelled it, a string placeholder swapped back, in
+    ASCII and quoted unless not ``quote``, or a node read in its place as
+    its repr; a longer one than `_SHOWN` characters as its first ones and
+    its length."""
+    if type(tok) is not str:
+        tok, quote = repr(tok), False
+    elif tok[:1] == '"':
+        tok = spelled[int(tok[1:])]
+    shown = ascii(tok[:_SHOWN])
+    if not quote:
+        shown = shown[1:-1]
+    return shown if len(tok) <= _SHOWN else f"{shown}... ({len(tok)} characters)"
 
 
 def _scalar(tok, spelled: list[str], value: bool = False):
     """The int ``tok`` spells; for an atom's ``value`` also a JSON string,
     which the text has as a placeholder into ``spelled``."""
     if spelled and type(tok) is str and tok[:1] == '"':
-        tok = spelled[int(tok[1:])]
         if value:
             try:
-                return json.loads(tok)
+                return json.loads(spelled[int(tok[1:])])
             except ValueError:
                 pass
     else:
@@ -764,4 +753,4 @@ def _scalar(tok, spelled: list[str], value: bool = False):
         except (TypeError, ValueError):
             pass
     what = "an int or a string" if value else "an int"
-    raise UsageError(f"expected {what}, got {tok!r}")
+    raise UsageError(f"expected {what}, got {_shown(tok, spelled)}")

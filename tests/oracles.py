@@ -5,10 +5,10 @@ Everything here chases definitions directly over the raw complex data
 here calls the library's face-class index, the vectorized model table, or
 the simulation engine, so agreement between these oracles and the fast
 paths is meaningful evidence rather than a tautology. From the library the
-snapshot oracle takes only the definitions ``compute_view`` and
-``ordered_partitions``; it and the s-expression oracle, which has its own
-tokenizer, take the formula factories, which intern; the vertex-reader
-oracle takes the ``Vertex`` record and ``SchemaError``.
+snapshot oracle takes only ``ordered_partitions`` (its views are
+``compute_view``'s, defined here); it and the s-expression oracle, which
+has its own tokenizer, take the formula factories, which intern; the
+vertex-reader oracle takes the ``Vertex`` record and ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 
 from delsim.complexes import Vertex
 from delsim.errors import SchemaError, UsageError
-from delsim.generators import compute_view, ordered_partitions
+from delsim.generators import ordered_partitions
 from delsim.logic import Formula, atom, conj, disj, dknow, know, neg
 
 
@@ -169,6 +169,19 @@ def product_update_naive(model, action) -> dict:
 
 
 # -- snapshot protocol ------------------------------------------------------
+
+def compute_view(inputs, gammas, agent: int):
+    """Agent's knowledge after running the given round schedules.
+
+    Round 0 is the agent's own input; each later round snapshots the previous
+    views of everyone in the agent's stage of that round's schedule.
+    """
+    if not gammas:
+        return inputs[agent]
+    head, last = gammas[:-1], gammas[-1]
+    return frozenset((p, compute_view(inputs, head, p))
+                     for p in last.stage_of(agent))
+
 
 def snapshot_action_naive(workspace, rounds: int, inputs=None) -> dict:
     """The r-round snapshot action by :func:`compute_view` over every

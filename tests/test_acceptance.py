@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import oracles
 from delsim.case_is2 import (conflict_relation, explicit_sa2_relation,
                              location_violations)
-from delsim.generators import (DiGraph, agreement_run, compute_view,
+from delsim.generators import (DiGraph, agreement_run,
                                domination_number, explicit_agreement_relation,
                                knowall_run, ordered_partitions,
                                round_prefix_morphism, snapshot_run,
@@ -24,6 +24,7 @@ from delsim.models import (find_morphism, graph_of_morphism, input_model,
                            standard_workspace)
 from delsim.obstruction import characteristic_formulas, decide_obstruction
 from delsim.simulation import SimulationEngine
+from oracles import compute_view
 
 
 @contextmanager

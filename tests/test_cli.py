@@ -304,6 +304,21 @@ def test_missing_file_is_usage_error(tmp_path):
                     "-o", str(tmp_path / "no-such-dir" / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("text", ["(atom 0 " + "1" * 5000 + ")",
+                                  "(K " + "1" * 5000 + " (atom 0 0))",
+                                  "(not " + "x" * 5000 + ")"],
+                         ids=["atom-value", "k-agent", "unbound-name"])
+def test_a_long_bad_token_gives_a_short_error(consensus_files, tmp_path, capsys, text):
+    """A formula whose bad token is 5000 characters long exits 2 with one
+    error line that quotes only the token's start and its length."""
+    (tmp_path / "phi.sexp").write_text(text)
+    assert run_cli(["check", "--model", str(consensus_files["task"]),
+                    "--formula", str(tmp_path / "phi.sexp")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert "(5000 characters)" in err
+
+
 @pytest.mark.parametrize("bad", ["model", "formula"])
 def test_non_utf8_file_is_usage_error(consensus_files, tmp_path, capsys, bad):
     """A model or formula file that is not UTF-8 is a file error (exit 2)

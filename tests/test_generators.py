@@ -10,7 +10,7 @@ import oracles
 from delsim import serialize
 from delsim.errors import UsageError
 from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
-                               compose, compose_rounds, compute_view,
+                               compose, compose_rounds,
                                constant_true_protocol, decide_own_input_morphism,
                                domination_number, explicit_agreement_relation,
                                in_neighbors, knowall_run, ordered_partitions,
@@ -18,6 +18,7 @@ from delsim.generators import (DiGraph, OrderedPartition, agreement_run,
                                snapshot_action, snapshot_run, staircase_task)
 from delsim.models import graph_of_morphism, standard_workspace
 from delsim.simulation import SimulationEngine
+from oracles import compute_view
 
 
 # -- schedules --------------------------------------------------------------

@@ -149,9 +149,10 @@ def test_modal_agent_outside_workspace_rejected_over_a_tautology(build):
         ModelTable(m).satisfies(build(disj([p, neg(p)])))
 
 
-def test_table_reads_each_group_once(snap1_2, agree1_2):
-    """``K a`` and ``D {a}`` share the group {a}, and ``D`` groups compare as
-    sets, so a table asks each model for one group's classes once."""
+def test_table_reads_each_modal_payload_once(snap1_2, agree1_2):
+    """A table asks each model for the classes of each modal payload once:
+    ``K``'s agent, or ``D``'s agent set, which compares as a set. ``K a``
+    and ``D {a}`` are two payloads."""
     models = (snap1_2.model, agree1_2.model)
     table = ModelTable(*models)
     calls = []
@@ -168,8 +169,8 @@ def test_table_reads_each_group_once(snap1_2, agree1_2):
     finally:
         for m in models:
             del m.face_classes
-    assert sorted(calls) == sorted({(id(m), g) for m in models
-                                    for g in ((), (0,), (1,), (0, 1))})
+    assert sorted(calls) == sorted((id(m), g) for m in models
+                                   for g in ((), (0,), (0,), (1,), (0, 1)))
 
 
 def test_table_over_two_models_keeps_them_apart():

@@ -12,8 +12,9 @@ formulas and the chain, morphism search against plain enumeration (and the
 equal atoms of D-fixpoint pairs that its domains rely on), and the product
 update with random actions against its definition. Also the s-expression round trip over random
 formulas, the s-expression reader against a recursive-descent reader on
-mutated texts, formulas that mix int and str atom values (distinct nodes,
-one text whatever the build order), the JSON round trips of models and
+mutated texts (also read in pieces far shorter than its own), formulas
+that mix int and str atom values (distinct nodes, one text whatever the
+build order), the JSON round trips of models and
 relations, the JSON writer against the standard library's (also on lists
 of vertex-shaped records), and the model reader's vertices against a
 one-vertex-at-a-time reader on mutated vertex lists."""
@@ -32,9 +33,11 @@ from delsim.complexes import ChromaticComplex, Vertex
 from delsim.logic import (Formula, ModelTable, atom, classify, conj, disj,
                           dknow, from_sexp, know, neg, to_sexp)
 from delsim.errors import SchemaError, UsageError
+from delsim.generators import staircase_setup
 from delsim.models import (ActionModel, SimplicialModel, find_morphism,
                            product_update, standard_workspace)
-from delsim.obstruction import characteristic_formula, characteristic_formulas
+from delsim.obstruction import (characteristic_formula, characteristic_formulas,
+                                decide_obstruction)
 from delsim.simulation import Relation, SimulationEngine
 
 VALUES = (0, 1)
@@ -528,7 +531,8 @@ def test_from_sexp_matches_naive_reader_after_character_edits(text):
     assert_reads_like_naive(text)
 
 
-@pytest.mark.parametrize("text, accepted", [
+# (text, whether it reads) pairs at the reader's borders
+SEXP_EDGE_TEXTS = [
     # names that are keywords, numbers, strings or brackets
     ("(let ((and (atom 0 0))) (and and and))", True),
     ("(let ((0 (atom 0 0))) (K 0 0))", True),
@@ -565,9 +569,44 @@ def test_from_sexp_matches_naive_reader_after_character_edits(text):
     # tabs, newlines and carriage returns between tokens
     ("(and\t(atom 0 0)\n(K 1\r\n(atom 1 1)))", True),
     ("\n(let\t((x\n(atom 0 0)))\t(D\n(0\t1)\nx))\n", True),
-])
+]
+
+
+@pytest.mark.parametrize("text, accepted", SEXP_EDGE_TEXTS)
 def test_from_sexp_matches_naive_reader_on_edge_texts(text, accepted):
     assert (assert_reads_like_naive(text) is not None) == accepted
+
+
+# piece lengths of the reader far below its own, so that texts are cut
+# before nearly every "("
+SEXP_PIECES = (1, 2, 7, 64)
+
+
+@SETTINGS
+@pytest.mark.parametrize("piece", SEXP_PIECES)
+@given(st.one_of(mutated_sexp(), char_edited_sexp()))
+def test_from_sexp_reads_alike_in_short_pieces(piece, text):
+    with mock.patch.object(logic, "_PIECE", piece):
+        assert_reads_like_naive(text)
+
+
+@pytest.fixture(scope="module")
+def staircase_32_obstructions():
+    """The K and D obstructions of staircase N=32 and their texts."""
+    setup = staircase_setup(32)
+    phis = [decide_obstruction(setup.protocol_run.model, setup.task_run.model, mode).phi
+            for mode in "KD"]
+    return [(phi, to_sexp(phi)) for phi in phis]
+
+
+@pytest.mark.parametrize("piece", SEXP_PIECES)
+def test_edge_texts_and_obstructions_read_alike_in_short_pieces(
+        piece, staircase_32_obstructions):
+    with mock.patch.object(logic, "_PIECE", piece):
+        for text, accepted in SEXP_EDGE_TEXTS:
+            assert (assert_reads_like_naive(text) is not None) == accepted, text
+        for phi, text in staircase_32_obstructions:
+            assert from_sexp(text) is phi
 
 
 @SETTINGS
