@@ -17,6 +17,7 @@ import itertools
 import os
 import re
 import sys
+from typing import Iterable
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .generators import (DiGraph, agreement_action, agreement_run,
                          constant_true_protocol, domination_number,
                          knowall_action, snapshot_action, snapshot_run,
                          staircase_task)
-from .logic import ModelTable, to_sexp
+from .logic import ModelTable, sexp_chunks
 from .models import (ActionModel, Workspace, find_morphism, input_model,
                      product_update, standard_workspace)
 from .obstruction import decide_obstruction
@@ -79,16 +80,18 @@ def _one_place(args, inputs: tuple[str, ...] = (), outputs: dict | None = None) 
         placed[place] = label
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    """Write the texts ``chunks`` one after another to ``path`` (``None`` or
+    ``-``: stdout)."""
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(serialize.dumps(payload), out)
+    _write([serialize.dumps(payload)], out)
 
 
 def _values(text: str) -> list[int | str]:
@@ -193,7 +196,8 @@ def _cmd_obstruct(args) -> int:
     task = _read(args.task, serialize.model_from_json)
     verdict = decide_obstruction(protocol, task, args.mode)
     if verdict.exists:
-        _write(to_sexp(verdict.phi, share=not args.expand) + "\n", phi)
+        # φ goes out chunk by chunk as it is written, never whole
+        _write(itertools.chain(sexp_chunks(verdict.phi, share=not args.expand), ["\n"]), phi)
     _emit({"format": serialize.VERDICT_FORMAT,
            **verdict.to_json(phi_file=phi if verdict.exists else None)}, args.output)
     return EXIT_OBSTRUCTION if verdict.exists else EXIT_OK

@@ -2,8 +2,9 @@
 
 Formulas are hash-consed into a global DAG: building the same subformula twice
 yields the same node, so equality is identity and shared structure is free.
-A node is interned on its kind, its payload and its tuple of child nodes,
-which are interned already, so every table and DAG walk keys on the node
+`_INTERNED` holds one table per kind and payload, and a table is keyed on
+the tuple of child nodes, interned already, that its node holds itself, so
+no node carries a key of its own; every table and DAG walk keys on the node
 itself. Agents are exactly ``int`` and atom values exactly ``int`` or
 ``str``, so payloads that compare equal are spelled alike.
 The language is atoms ip_a^v, negation, finite conjunction/disjunction,
@@ -17,6 +18,10 @@ the size functions and every query on a fresh model table read the one
 plan, and a formula's DAG is walked once however often it is checked on
 fresh tables, written or measured. The plan lives as long as the interned
 node.
+
+The s-expression writer, `sexp_chunks`, streams: it yields the text in
+joined chunks of about `_CHUNK` pieces, so a caller that writes each chunk
+out (``delsim obstruct``) never holds the text; `to_sexp` joins them.
 
 `ModelTable` is the model checker: it evaluates a formula's DAG bottom-up as
 truth vectors over all facets of a model (or of several side by side), one
@@ -44,7 +49,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 from itertools import chain, repeat
 from operator import and_, attrgetter, or_
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,23 +114,25 @@ class Formula:
         while stack and n < 80:
             n += 1
             stack.extend(stack.pop().children)
-        return f"<Formula {''.join(_write(self, {}, [])) if n < 80 else self.kind}>"
+        return f"<Formula {''.join(_chunks([self])) if n < 80 else self.kind}>"
 
 
-_INTERNED: dict[tuple, Formula] = {}
+_INTERNED: dict[tuple, dict[tuple, Formula]] = {}
 
 
 def _intern(kind, payload, children: tuple) -> Formula:
-    key = (kind, payload, children)
-    node = _INTERNED.get(key)
+    table = _INTERNED.get((kind, payload))
+    if table is None:
+        table = _INTERNED[kind, payload] = {}
+    node = table.get(children)
     if node is None:
-        node = _INTERNED[key] = Formula(kind, payload, children)
+        node = table[children] = Formula(kind, payload, children)
     return node
 
 
 def _check_agent(a, kind: str) -> None:
     if type(a) is not int or a < 0:
-        raise UsageError(f"{kind} agent must be a nonnegative int, got {a!r}")
+        raise UsageError(f"{kind} agent must be a nonnegative int, got {_shown(a)}")
 
 
 def atom(agent: int, value) -> Formula:
@@ -143,7 +150,7 @@ def _junction(kind, parts: Iterable[Formula]) -> Formula:
     parts = tuple(parts)
     for p in parts:
         if type(p) is not Formula:
-            raise UsageError(f"{kind} expects formulas, got {p!r}")
+            raise UsageError(f"{kind} expects formulas, got {_shown(p)}")
     uniq = tuple(dict.fromkeys(parts))
     if not uniq:
         raise UsageError(f"empty {kind} is not a formula")
@@ -329,7 +336,7 @@ class ModelTable:
             a, v = node.payload
             ws = self.workspace
             if a >= ws.n_agents or v not in ws.value_set:
-                raise UsageError(f"atom {(a, v)!r} outside workspace {ws.agents}/{ws.values}")
+                raise UsageError(f"atom {_shown((a, v))} outside workspace {ws.agents}/{ws.values}")
             return _pack(np.array([node.payload in lab for m in self.models
                                    for lab in m.facet_labels], dtype=bool))
         if kind == NOT:
@@ -481,30 +488,8 @@ _CHUNK = 4096
 
 
 def to_sexp(f: Formula, share: bool = True) -> str:
-    """Serialize. With ``share`` (default) nodes referenced more than once are
-    bound in a ``(let ((x0 ...) ...) body)`` prefix, preserving the DAG, and
-    named in the order of ``f``'s plan; without it the tree is written out
-    (guarded at 10^7 nodes)."""
-    if not share:
-        if tree_size(f) > _EXPAND_GUARD:
-            raise UsageError(
-                f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
-        return "".join(_write(f, {}, []))
-    order = _plan(f)[0]
-    refs = Counter(chain.from_iterable(map(attrgetter("children"), order)))
-    names: dict[Formula, str] = {}
-    pieces = ["(let ("]
-    for node in order:
-        if node is not f and refs[node] >= 2 and node.kind != ATOM:
-            name = f"x{len(names)}"
-            pieces.append(f" ({name} " if names else f"({name} ")
-            _write(node, names, pieces).append(")")
-            names[node] = name
-    if not names:
-        return "".join(_write(f, names, []))
-    pieces.append(") ")
-    _write(f, names, pieces).append(")")
-    return "".join(pieces)
+    """Serialize ``f``: the chunks of `sexp_chunks` joined into one string."""
+    return "".join(sexp_chunks(f, share))
 
 
 # one text per agent set: an obstruction has thousands of D nodes over a
@@ -514,43 +499,73 @@ def _d_head(group: frozenset) -> str:
     return f"(D ({' '.join(map(str, sorted(group)))}) "
 
 
-def _write(f: Formula, names: dict[Formula, str], out: list[str]) -> list[str]:
-    """Append ``f``'s text to ``out`` and return it. The text goes in
-    joined chunks of about `_CHUNK` pieces, so that a long text is not held
-    as millions of small strings."""
-    # An explicit stack of nodes still to write and text to emit after them,
-    # so nesting depth is not bounded by the interpreter's recursion limit.
-    buf: list[str] = []
-    stack: list = [f]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            buf.append(item)
-            continue
-        name = names.get(item)
-        if name is not None:
-            buf.append(name)
-            continue
-        if item.kind == ATOM:
-            a, v = item.payload
-            buf.append(f"(atom {a} {json.dumps(v)})")
-            continue
-        if len(buf) > _CHUNK:
-            out.append("".join(buf))
-            buf.clear()
-        if item.kind == K:
-            buf.append(f"(K {item.payload} ")
-        elif item.kind == D:
-            buf.append(_d_head(item.payload))
-        else:
-            buf.append(f"({item.kind} ")
-        stack.append(")")
-        for i in range(len(item.children) - 1, 0, -1):
-            stack.append(item.children[i])
-            stack.append(" ")
-        stack.append(item.children[0])
-    out.append("".join(buf))
-    return out
+def sexp_chunks(f: Formula, share: bool = True) -> Iterator[str]:
+    """``f``'s text as `_chunks` writes it. With ``share`` (default) nodes
+    referenced more than once are bound in a ``(let ((x0 ...) ...) body)``
+    prefix, preserving the DAG, and named in the order of ``f``'s plan;
+    without it the tree is written out (guarded at 10^7 nodes). The plan
+    and the guard are read before this returns, so an error comes before
+    any chunk."""
+    if not share:
+        if tree_size(f) > _EXPAND_GUARD:
+            raise UsageError(
+                f"expanded tree exceeds {_EXPAND_GUARD:,} nodes; keep sharing enabled")
+        return _chunks([f])
+    order = _plan(f)[0]
+    refs = Counter(chain.from_iterable(map(attrgetter("children"), order)))
+    bound = [node for node in order if node is not f and refs[node] >= 2 and node.kind != ATOM]
+    return _chunks(bound + [f])
+
+
+def _chunks(tops: list[Formula]) -> Iterator[str]:
+    """The text of ``tops[-1]``, with each earlier top bound to the name
+    ``x<i>`` in a let prefix (none when there is one top), in joined chunks
+    of about `_CHUNK` pieces: filled across bindings and split inside a wide
+    form, so that neither the whole text nor a string per binding is held."""
+    names: dict[Formula, str] = {}
+    last = len(tops) - 1
+    buf = ["(let ("] if last else []
+    for i, top in enumerate(tops):
+        if i < last:
+            buf.append(f" (x{i} " if i else f"(x{i} ")
+        elif last:
+            buf.append(") ")
+        # An explicit stack of nodes still to write and text to emit after
+        # them, so nesting depth is not bounded by the recursion limit. A top
+        # is named only once written.
+        stack: list = [top]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                buf.append(item)
+                continue
+            if len(buf) > _CHUNK:
+                yield "".join(buf)
+                buf.clear()
+            name = names.get(item)
+            if name is not None:
+                buf.append(name)
+                continue
+            if item.kind == ATOM:
+                a, v = item.payload
+                buf.append(f"(atom {a} {json.dumps(v)})")
+                continue
+            if item.kind == K:
+                buf.append(f"(K {item.payload} ")
+            elif item.kind == D:
+                buf.append(_d_head(item.payload))
+            else:
+                buf.append(f"({item.kind} ")
+            stack.append(")")
+            for j in range(len(item.children) - 1, 0, -1):
+                stack.append(item.children[j])
+                stack.append(" ")
+            stack.append(item.children[0])
+        if last:  # the binding's or, after the body, the let's
+            buf.append(")")
+        if i < last:
+            names[top] = f"x{i}"
+    yield "".join(buf)
 
 
 # a string token, with backslash escapes
@@ -723,14 +738,15 @@ def from_sexp(text: str) -> Formula:
         raise UsageError(f"unbound name {_shown(e.args[0], spelled)} in formula") from None
 
 
-def _shown(tok, spelled: list[str], quote: bool = True) -> str:
-    """``tok`` as the text spelled it, a string placeholder swapped back, in
-    ASCII and quoted unless not ``quote``, or a node read in its place as
+def _shown(tok, spelled: Sequence[str] = (), quote: bool = True) -> str:
+    """``tok`` as the text spelled it, a string placeholder into ``spelled``
+    swapped back, in ASCII and quoted unless not ``quote``, or any other
+    value (a node read in a token's place, an agent, an atom's payload) as
     its repr; a longer one than `_SHOWN` characters as its first ones and
     its length."""
     if type(tok) is not str:
         tok, quote = repr(tok), False
-    elif tok[:1] == '"':
+    elif spelled and tok[:1] == '"':
         tok = spelled[int(tok[1:])]
     shown = ascii(tok[:_SHOWN])
     if not quote:

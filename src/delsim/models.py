@@ -21,7 +21,7 @@ import numpy as np
 from .complexes import (ChromaticComplex, Facet, Vertex, first_appearance_ids,
                         validate_complex)
 from .errors import UsageError
-from .logic import Formula, ModelTable
+from .logic import Formula, ModelTable, _shown
 from .simulation import Relation, SimulationEngine
 
 Value = int | str
@@ -135,7 +135,7 @@ class SimplicialModel(_ComplexCarrier):
             n_agents = self.workspace.n_agents
             for a in key:
                 if not 0 <= a < n_agents:
-                    raise UsageError(f"agent {a} out of range")
+                    raise UsageError(f"agent {_shown(a)} out of range")
             # classes in lexicographic order of the S-face's vertex ids:
             # rank by the first color, then refine by each next color's rank
             ids = np.zeros(self.n_facets, dtype=np.intp)

@@ -304,19 +304,29 @@ def test_missing_file_is_usage_error(tmp_path):
                     "-o", str(tmp_path / "no-such-dir" / "m.json")]) == 2
 
 
-@pytest.mark.parametrize("text", ["(atom 0 " + "1" * 5000 + ")",
-                                  "(K " + "1" * 5000 + " (atom 0 0))",
-                                  "(not " + "x" * 5000 + ")"],
-                         ids=["atom-value", "k-agent", "unbound-name"])
-def test_a_long_bad_token_gives_a_short_error(consensus_files, tmp_path, capsys, text):
-    """A formula whose bad token is 5000 characters long exits 2 with one
-    error line that quotes only the token's start and its length."""
+@pytest.mark.parametrize("text, length", [
+    ("(atom 0 " + "1" * 5000 + ")", 5000),
+    ("(K " + "1" * 5000 + " (atom 0 0))", 5000),
+    ("(not " + "x" * 5000 + ")", 5000),
+    # 4000 digits read as an int, so the errors come after the reader, from
+    # the atom's workspace check, the agent check and the D group's classes
+    ("(atom 0 " + "1" * 4000 + ")", 4005),
+    ("(atom " + "1" * 4000 + " 0)", 4005),
+    ("(K -" + "1" * 4000 + " (atom 0 0))", 4001),
+    ("(D (0 " + "1" * 4000 + ") (atom 0 0))", 4000),
+], ids=["atom-value", "k-agent", "unbound-name", "atom-value-outside",
+        "atom-agent-outside", "k-agent-negative", "d-agent-out-of-range"])
+def test_a_long_bad_token_gives_a_short_error(consensus_files, tmp_path, capsys,
+                                              text, length):
+    """A formula whose bad token or value is thousands of characters long
+    exits 2 with one error line that quotes only its start and its
+    length."""
     (tmp_path / "phi.sexp").write_text(text)
     assert run_cli(["check", "--model", str(consensus_files["task"]),
                     "--formula", str(tmp_path / "phi.sexp")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
-    assert "(5000 characters)" in err
+    assert f"({length} characters)" in err, err
 
 
 @pytest.mark.parametrize("bad", ["model", "formula"])

@@ -43,6 +43,27 @@ def test_interning_gives_identical_nodes():
     assert dknow([1, 0], a) is dknow([0, 1], a)
 
 
+def test_interning_keeps_kinds_and_payloads_apart(monkeypatch):
+    """Nodes are interned in one table per kind and payload, keyed on their
+    children: the same children under each kind and payload stay distinct
+    nodes, each rebuilt as the identical node, and every node interned is
+    in exactly one table."""
+    monkeypatch.setattr(logic, "_INTERNED", {})  # nodes of this test's own
+    builders = [lambda: atom(0, 1), lambda: atom(0, "1"),
+                lambda: conj([atom(0, 1), atom(0, "1")]),
+                lambda: disj([atom(0, 1), atom(0, "1")]),
+                lambda: neg(atom(0, 1)), lambda: know(0, atom(0, 1)),
+                lambda: know(1, atom(0, 1)), lambda: dknow([0], atom(0, 1)),
+                lambda: dknow([0, 1], atom(0, 1))]
+    nodes = [build() for build in builders]
+    assert len(set(nodes)) == len(nodes)
+    assert all(build() is node for build, node in zip(builders, nodes))
+    assert nodes[2].children == nodes[3].children
+    assert sum(map(len, logic._INTERNED.values())) == len(nodes)
+    for node in nodes:
+        assert logic._INTERNED[node.kind, node.payload][node.children] is node
+
+
 def test_junctions_dedup_and_collapse():
     a, b = atom(0, 0), atom(1, 1)
     assert disj([a, a, b, a]).children == (a, b)
@@ -299,6 +320,21 @@ def test_sexp_shares_repeated_subterms():
     text = to_sexp(f, share=True)
     assert text.startswith("(let ")
     assert text.count("(K 0") == 1
+
+
+def test_writer_fills_chunks_across_bindings_and_splits_a_wide_form(monkeypatch):
+    """The writer's chunks hold about `_CHUNK` pieces whatever the shape:
+    with ten pieces a chunk, a let of many small bindings and a single
+    disjunction of 200 atoms both come out in chunks of at most a few
+    more pieces than that, which join to the text."""
+    monkeypatch.setattr(logic, "_CHUNK", 10)
+    wide = disj(atom(a % 3, a) for a in range(200))
+    bound = [disj([atom(0, a), atom(1, a)]) for a in range(50)]
+    shared = conj([know(0, p) for p in bound] + [know(1, p) for p in bound])
+    for f in (wide, shared):
+        chunks = list(logic.sexp_chunks(f))
+        assert len(chunks) > 10 and "".join(chunks) == to_sexp(f)
+        assert max(len(c) for c in chunks) < 15 * len("(atom 0 199)")
 
 
 def test_sexp_parse_errors():

@@ -191,7 +191,31 @@ def test_characteristic_formula_builds_only_its_cone(snap1_3, mode, monkeypatch)
     outside the facet's backward cone is built, its top level included."""
     monkeypatch.setattr(logic, "_INTERNED", {})
     phi = characteristic_formula(snap1_3.model, mode, 2, 0)
-    assert len(logic._INTERNED) == dag_size(phi)
+    assert sum(map(len, logic._INTERNED.values())) == dag_size(phi)
+
+
+def test_writer_holds_one_chunk_not_the_text(snap1_3):
+    """Written through `sexp_chunks` into a sink that only counts, as
+    ``delsim obstruct`` writes φ to its file, the depth-3 D formula of a
+    one-round snapshot facet (4123 nodes, 747,526 characters) peaks below
+    its text's length: the writer holds one chunk and the names, not the
+    text or a string per binding. The chunks join to `to_sexp`'s text."""
+    phi = characteristic_formula(snap1_3.model, "D", 3, 0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        length = sum(map(len, logic.sexp_chunks(phi)))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    text = to_sexp(phi)
+    assert "".join(logic.sexp_chunks(phi)) == text
+    assert dag_size(phi) == 4123 and length == len(text) == 747_526
+    assert peak < length, (peak, length)
 
 
 def test_reading_an_obstruction_back_holds_no_token_list():
