@@ -113,15 +113,16 @@ def conflict_relation(snap: SnapshotRun, p: int, q: int) -> ConflictRelation:
 def initial_block_facets(snap: SnapshotRun, agent: int) -> frozenset:
     """Facets generated by a schedule whose first round starts with a stage
     containing ``agent`` (the agent writes before seeing anyone else's
-    round-one snapshot)."""
+    round-one snapshot).
+
+    Read from the run table in bulk: a facet is in the block when one of its
+    action facet's runs has such a first-round schedule."""
     _require_case(snap)
-    out = set()
-    for t in range(snap.model.n_facets):
-        for _, gammas in snap.facet_schedules(t):
-            if agent in gammas[0].chain[0]:
-                out.add(t)
-                break
-    return frozenset(out)
+    proto = snap.protocol
+    first_round = proto.run_digits(np.arange(len(proto.facet_of)))[:, snap.workspace.n_agents]
+    starts = np.array([agent in g.chain[0] for g in proto.partitions])[first_round]
+    in_block = np.isin(snap.run.result.facet_sources[:, 1], proto.facet_of[starts])
+    return frozenset(np.flatnonzero(in_block).tolist())
 
 
 def explicit_sa2_relation(snap: SnapshotRun, agree: AgreementRun,

@@ -24,10 +24,6 @@ from .models import (ActionModel, Morphism, ProductResult, SimplicialModel,
                      standard_workspace)
 from .simulation import Relation, SimulationEngine
 
-# A view is an input value (round 0) or a frozenset of (agent, view) pairs.
-View = object
-
-
 # ---------------------------------------------------------------------------
 # Round schedules
 
@@ -45,10 +41,6 @@ class OrderedPartition:
         for a, b in zip(self.chain, self.chain[1:]):
             if not a < b:
                 raise UsageError("schedule stages must strictly increase")
-
-    @property
-    def agents(self) -> frozenset:
-        return self.chain[-1]
 
     def stage_of(self, agent: int) -> frozenset:
         """Everyone visible to ``agent``: the first stage containing it."""
@@ -90,19 +82,50 @@ def ordered_partitions(n_agents: int) -> list[OrderedPartition]:
 class SnapshotProtocol:
     """r rounds of immediate snapshots, as an action model.
 
-    ``vertex_data[v]`` is the (agent, input, view) triple of action vertex v,
-    and ``view_masks[v]`` the bitmasks of the agents (bit a for agent a) and
-    the values (bit i for ``workspace.values[i]``) that its view mentions;
-    ``schedules[t]`` lists every (inputs, round-schedules) pair generating
-    action facet t (facets are deduplicated by their vertex sets; for up to
-    three agents and two rounds no collision occurs).
+    Kept as int arrays. ``view_masks[v]`` holds the bitmasks of the agents
+    (bit a for agent a) and of the values (bit i for ``workspace.values[i]``)
+    that action vertex v's view mentions. ``facet_of[k]`` is the action facet
+    of run k; facets are deduplicated by their vertex sets, so a facet may
+    have several runs (for up to three agents and two rounds none has).
+
+    A run is an input assignment and r round schedules. Run k is the
+    mixed-radix number ``first_run + k`` over ``radix``: each agent's value
+    position (base ``len(values)``), then each round's position in
+    ``ordered_partitions(n)``, so runs follow lexicographic (inputs,
+    schedules) order. ``first_run`` is 0 over all inputs and the first run
+    of the one assignment otherwise. :meth:`runs` decodes a facet's runs on
+    demand.
     """
 
     rounds: int
     action: ActionModel
-    vertex_data: tuple[tuple[int, Value, View], ...]
     view_masks: np.ndarray = field(repr=False, compare=False)
-    schedules: tuple[tuple[tuple[tuple[Value, ...], tuple[OrderedPartition, ...]], ...], ...]
+    facet_of: np.ndarray = field(repr=False, compare=False)
+    radix: tuple[int, ...]
+    first_run: int = 0
+
+    @cached_property
+    def partitions(self) -> list[OrderedPartition]:
+        return ordered_partitions(self.action.workspace.n_agents)
+
+    @cached_property
+    def _by_facet(self) -> tuple[np.ndarray, np.ndarray]:
+        """The run indices sorted stably by facet, and each facet's start."""
+        order = np.argsort(self.facet_of, kind="stable")
+        return order, np.concatenate(([0], np.cumsum(np.bincount(self.facet_of))))
+
+    def run_digits(self, runs: np.ndarray) -> np.ndarray:
+        """Per run in ``runs``, its digits over ``radix`` as a row."""
+        return np.stack(np.unravel_index(runs + self.first_run, self.radix), axis=-1)
+
+    def runs(self, facet: int) -> tuple[tuple[tuple, tuple], ...]:
+        """The (inputs, schedules) of every run of action facet ``facet``, in
+        run order."""
+        order, start = self._by_facet
+        ws, parts = self.action.workspace, self.partitions
+        n = ws.n_agents
+        return tuple((tuple(ws.values[i] for i in row[:n]), tuple(parts[g] for g in row[n:]))
+                     for row in self.run_digits(order[start[facet]:start[facet + 1]]).tolist())
 
 
 def snapshot_action(workspace: Workspace, rounds: int,
@@ -111,17 +134,17 @@ def snapshot_action(workspace: Workspace, rounds: int,
     single input assignment (for figure-scale runs); default is all of them.
 
     Built round by round, as the iterated chromatic subdivision, one int
-    table per round. A run of r rounds is an input assignment and r
-    schedules; ``runs`` holds each run's vertex ids by agent, runs in
-    lexicographic (inputs, schedules) order. Round r has a key row per
-    (run of r-1 rounds, schedule, agent), in that order: the agent, then
+    table per round. ``runs`` holds each run's vertex ids by agent, runs in
+    the order :class:`SnapshotProtocol` numbers them. Round r has a key row
+    per (run of r-1 rounds, schedule, agent), in that order: the agent, then
     each agent's round-(r-1) id where that agent is in its stage, -1
     elsewhere. Interning the rows by first appearance gives the round's
     vertex ids, and at the last round interning the runs' rows gives the
-    facets. Each new vertex's nested view is built once, from its first
-    row, and so are its view masks: its own agent and input bits at round
-    0, later the OR of its stage members' masks. Vertex and facet ids
-    follow first appearance in (inputs, schedules, agent) order.
+    facets. Each new vertex's view masks are built once, from its first
+    row: its own agent and input bits at round 0, later the OR of its stage
+    members' masks. Vertex and facet ids follow first appearance in (inputs,
+    schedules, agent) order. What is kept is the action, the masks and each
+    run's facet; no view or schedule is built per vertex or per facet.
     """
     if rounds < 1:
         raise UsageError("need at least one round")
@@ -140,41 +163,33 @@ def snapshot_action(workspace: Workspace, rounds: int,
     agents = np.arange(n)
 
     # round 0: a vertex per (agent, input), keyed by the value's position;
-    # seen[v] is the current round's vertex v as (agent, view), masks[v] its
-    # (agents, values) bitmasks
+    # masks[v] is the current round's vertex v's (agents, values) bitmasks
     position = {v: i for i, v in enumerate(workspace.values)}
     values = np.array([[position[v] for v in inp] for inp in assignments], dtype=np.intp)
-    pairs = np.stack((np.broadcast_to(agents, values.shape), values), axis=-1).reshape(-1, 2)
-    ids, first = first_appearance_ids(pairs)
-    seen: list[tuple[int, View]] = [(k % n, assignments[k // n][k % n])
-                                    for k in first.tolist()]
-    masks = np.left_shift(1, pairs[first], dtype=np.int64)
+    keys = np.stack((np.broadcast_to(agents, values.shape), values), axis=-1).reshape(-1, 2)
+    ids, first = first_appearance_ids(keys)
+    masks = np.left_shift(1, keys[first], dtype=np.int64)
     runs = ids.reshape(-1, n)
     for _ in range(rounds):
-        below = np.where(in_stage, runs[:, None, None, :], -1)  # [runs, parts, n, n]
-        keys = np.concatenate(
-            (np.broadcast_to(agents[:, None], below.shape[:-1] + (1,)), below),
-            axis=-1).reshape(-1, n + 1)
+        keys = np.full((len(runs), len(parts), n, n + 1), -1, dtype=np.intp)
+        keys[..., 0] = agents
+        np.copyto(keys[..., 1:], runs[:, None, None, :], where=in_stage)
+        keys = keys.reshape(-1, n + 1)
         ids, first = first_appearance_ids(keys)
         # a -1 (not in the stage) reads the zero row appended last
         masks = np.bitwise_or.reduce(np.vstack((masks, [0, 0]))[keys[first, 1:]], axis=1)
-        seen = [(a, frozenset(seen[v] for v in row if v >= 0))
-                for a, *row in keys[first].tolist()]
         runs = ids.reshape(-1, n)
 
-    per_input = len(runs) // len(assignments)
-    vertex_data = tuple((a, assignments[k // (n * per_input)][a], view)
-                        for k, (a, view) in zip(first.tolist(), seen))
     facet_of, first_run = first_appearance_ids(runs)
+    per_input = len(runs) // len(assignments)
     phis = [conj([atom(a, inp[a]) for a in range(n)]) for inp in assignments]
     pre = list(map(phis.__getitem__, (first_run // per_input).tolist()))
-    schedules: list[list] = [[] for _ in pre]
-    histories = list(itertools.product(parts, repeat=rounds))
-    for fid, run in zip(facet_of.tolist(), itertools.product(assignments, histories)):
-        schedules[fid].append(run)
-
-    action = ActionModel(workspace, _action_complex(n, vertex_data, runs[first_run]), pre)
-    return SnapshotProtocol(rounds, action, vertex_data, masks, tuple(map(tuple, schedules)))
+    action = ActionModel(workspace, _action_complex(n, keys[first, :1].tolist(), runs[first_run]),
+                         pre)
+    radix = (len(workspace.values),) * n + (len(parts),) * rounds
+    # over all inputs, the first assignment's digits are all zero
+    first_input = int(np.ravel_multi_index(values[0], radix[:n]))
+    return SnapshotProtocol(rounds, action, masks, facet_of, radix, first_input * per_input)
 
 
 def _action_complex(n: int, vertex_keys: Iterable[tuple], facets) -> ChromaticComplex:
@@ -288,7 +303,7 @@ class KnowAllProtocol:
     rounds: int
     effective: DiGraph
     action: ActionModel
-    vertex_data: tuple[tuple[int, Value, View], ...]
+    vertex_data: tuple[tuple[int, Value, frozenset], ...]
 
 
 def knowall_action(workspace: Workspace, graphs: Sequence[DiGraph],
@@ -300,7 +315,7 @@ def knowall_action(workspace: Workspace, graphs: Sequence[DiGraph],
     eff = compose_rounds(graphs, rounds)
     hears = [in_neighbors(eff, a) for a in range(n)]
 
-    vertex_ids: dict[tuple[int, Value, View], int] = {}
+    vertex_ids: dict[tuple[int, Value, frozenset], int] = {}
     facets: list[list[int]] = []
     pre: list[Formula] = []
     for inp in itertools.product(workspace.values, repeat=n):
@@ -400,11 +415,9 @@ class SnapshotRun:
     def workspace(self) -> Workspace:
         return self.run.workspace
 
-    def vertex_info(self, product_vertex: int) -> tuple[int, Value, View]:
-        return self.protocol.vertex_data[self.run.action_vertex(product_vertex)]
-
     def facet_schedules(self, product_facet: int):
-        return self.protocol.schedules[self.run.action_facet(product_facet)]
+        """The (inputs, schedules) runs of a product facet's action facet."""
+        return self.protocol.runs(self.run.action_facet(product_facet))
 
     @cached_property
     def view_masks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +466,7 @@ class KnowAllRun:
     def model(self) -> SimplicialModel:
         return self.run.model
 
-    def vertex_info(self, product_vertex: int) -> tuple[int, Value, View]:
+    def vertex_info(self, product_vertex: int) -> tuple[int, Value, frozenset]:
         return self.protocol.vertex_data[self.run.action_vertex(product_vertex)]
 
 
@@ -507,8 +520,9 @@ def explicit_agreement_relation(snap: SnapshotRun, agree: AgreementRun) -> Relat
 
 
 def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphism:
-    """Map each snapshot vertex (a, i, view) to the output vertex where a
-    decides its own input. A morphism only when k equals the agent count."""
+    """Map each snapshot vertex of color a and input atom (a, i) to the output
+    vertex where a decides its own input. A morphism only when k equals the
+    agent count."""
     if snap.workspace != agree.workspace:
         raise UsageError("runs use different workspaces")
     target: dict[tuple[int, Value, Value], int] = {}
@@ -517,37 +531,40 @@ def decide_own_input_morphism(snap: SnapshotRun, agree: AgreementRun) -> Morphis
         (i,) = [val for (_, val) in agree.model.complex.vertices[pid].atoms]
         target[(a, i, d)] = pid
     vmap = []
-    for pid in range(len(snap.model.complex.vertices)):
-        a, i, _ = snap.vertex_info(pid)
-        key = (a, i, i)
-        if key not in target:
+    for vertex in snap.model.complex.vertices:
+        ((a, i),) = vertex.atoms
+        if (a, i, i) not in target:
             raise UsageError(f"target has no vertex for agent {a} deciding {i!r}")
-        vmap.append(target[key])
+        vmap.append(target[(a, i, i)])
     return Morphism(tuple(vmap))
 
 
 def round_prefix_morphism(src: SnapshotRun, dst: SnapshotRun) -> Morphism:
     """Forget later rounds: send the run of (g_1..g_r) to the run of its
     prefix (g_1..g_s), vertex-wise by color. Well defined because an r-round
-    view determines every prefix view."""
+    view determines every prefix view.
+
+    Read in bulk: each source facet's first run keeps its value digits and
+    its first s schedule digits. They give the target run, its action facet
+    and the product facet over that."""
     if src.workspace != dst.workspace:
         raise UsageError("runs use different workspaces")
     s = dst.protocol.rounds
     if not s < src.protocol.rounds:
         raise UsageError("target must have strictly fewer rounds")
-    lookup: dict[tuple, int] = {}
-    for t in range(dst.model.n_facets):
-        for inp, gammas in dst.facet_schedules(t):
-            lookup[(inp, gammas)] = t
-    rows = dst.model.vertex_table.tolist()
-    vmap: dict[int, int] = {}
-    for i, row in enumerate(src.model.vertex_table.tolist()):
-        inp, gammas = src.facet_schedules(i)[0]
-        key = (inp, gammas[:s])
-        if key not in lookup:
-            raise UsageError("target run does not cover the source inputs")
-        for v, w in zip(row, rows[lookup[key]]):
-            if vmap.setdefault(v, w) != w:
-                raise InternalConsistencyError(
-                    f"prefix map sends vertex {v} to both {vmap[v]} and {w}")
-    return Morphism(tuple(vmap[v] for v in range(len(src.model.complex.vertices))))
+    _, first = np.unique(src.protocol.facet_of, return_index=True)
+    digits = src.protocol.run_digits(first[src.run.result.facet_sources[:, 1]])
+    runs = np.ravel_multi_index(digits[:, :src.workspace.n_agents + s].T, dst.protocol.radix) \
+        - dst.protocol.first_run
+    if ((runs < 0) | (runs >= len(dst.protocol.facet_of))).any():
+        raise UsageError("target run does not cover the source inputs")
+    # each action facet lies under one product facet: its inputs' facet
+    over = np.argsort(dst.run.result.facet_sources[:, 1])
+    xs = src.model.vertex_table.ravel()
+    ys = dst.model.vertex_table[over[dst.protocol.facet_of[runs]]].ravel()
+    vmap = np.zeros(len(src.model.complex.vertices), dtype=np.int64)
+    vmap[xs] = ys
+    bad = xs[vmap[xs] != ys]
+    if len(bad):
+        raise InternalConsistencyError(f"prefix map sends vertex {bad[0]} to two vertices")
+    return Morphism(tuple(vmap.tolist()))

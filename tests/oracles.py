@@ -8,7 +8,9 @@ paths is meaningful evidence rather than a tautology. From the library the
 snapshot oracle takes only ``ordered_partitions`` (its views are
 ``compute_view``'s, defined here); it and the s-expression oracle, which
 has its own tokenizer, take the formula factories, which intern; the
-vertex-reader oracle takes the ``Vertex`` record and ``SchemaError``.
+vertex-reader oracle takes the ``Vertex`` record and ``SchemaError``. The
+oracles over a snapshot run read its runs through ``facet_schedules``, whose
+decoding the snapshot oracle pins.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def snapshot_action_naive(workspace, rounds: int, inputs=None) -> dict:
     """The r-round snapshot action by :func:`compute_view` over every
     (inputs, schedules) pair in order: a vertex per distinct (agent, input,
     view) and a facet per distinct vertex list, numbered by first
-    appearance. Returns ``vertex_data``, ``facets``, ``pre`` and
-    ``schedules`` as ``snapshot_action`` does."""
+    appearance. Returns ``vertex_data`` (each vertex's (agent, input,
+    view)), ``facets``, ``pre`` and ``schedules`` (each facet's (inputs,
+    schedules) runs, which ``SnapshotProtocol.runs`` decodes)."""
     n = workspace.n_agents
     assignments = ([tuple(inputs)] if inputs is not None
                    else itertools.product(workspace.values, repeat=n))
@@ -213,6 +216,53 @@ def snapshot_action_naive(workspace, rounds: int, inputs=None) -> dict:
             schedules[facet_ids[fkey]].append((inp, gammas))
     return {"vertex_data": tuple(vertex_data), "facets": facets, "pre": tuple(pre),
             "schedules": tuple(tuple(s) for s in schedules)}
+
+
+def snapshot_views(snap) -> list[tuple]:
+    """Per product vertex of a snapshot run, its (agent, input, view): the
+    agent is its color, and the view is :func:`compute_view` over the
+    decoded schedules of each run of each facet holding it. Asserts that
+    they all give the same view, and that its input is the vertex's atom."""
+    cx = snap.model.complex
+    out = [None] * len(cx.vertices)
+    for t, f in enumerate(snap.model.facets):
+        for inputs, gammas in snap.facet_schedules(t):
+            for v in f.vertices:
+                a = cx.vertices[v].color
+                got = (a, inputs[a], compute_view(inputs, gammas, a))
+                assert out[v] in (None, got), f"vertex {v} has views {out[v]} and {got}"
+                assert cx.vertices[v].atoms == {(a, inputs[a])}
+                out[v] = got
+    return out
+
+
+def round_prefix_naive(src, dst):
+    """The map forgetting rounds after ``dst``'s, by dicts over the decoded
+    runs: every run of a source facet, cut to the target's rounds, names a
+    target facet, and vertices map by color. Asserts that all of them agree
+    on each vertex, and returns None when a cut run has no target facet."""
+    s = dst.protocol.rounds
+    target = {run: t for t in range(dst.model.n_facets) for run in dst.facet_schedules(t)}
+    scx, dcx = src.model.complex, dst.model.complex
+    vmap = {}
+    for i, f in enumerate(src.model.facets):
+        for inputs, gammas in src.facet_schedules(i):
+            t = target.get((inputs, gammas[:s]))
+            if t is None:
+                return None
+            theirs = {dcx.vertices[w].color: w for w in dst.model.facets[t].vertices}
+            for v in f.vertices:
+                w = theirs[scx.vertices[v].color]
+                assert vmap.setdefault(v, w) == w, f"vertex {v} goes to {vmap[v]} and {w}"
+    return tuple(vmap[v] for v in range(len(scx.vertices)))
+
+
+def initial_block_naive(snap, agent: int) -> frozenset:
+    """The facets with a run whose first round starts with a stage holding
+    ``agent``, over each facet's decoded schedules."""
+    return frozenset(t for t in range(snap.model.n_facets)
+                     if any(agent in gammas[0].chain[0]
+                            for _, gammas in snap.facet_schedules(t)))
 
 
 # -- formula evaluation -----------------------------------------------------
@@ -560,10 +610,10 @@ def heard_from(gammas, agent: int) -> frozenset:
     """Agents whose inputs occur as leaves of ``agent``'s nested view,
     computed by composing per-round visibility relations instead of by
     recursing over nested structures."""
-    reach = {a: frozenset([a]) for a in gammas[0].agents}
+    reach = {a: frozenset([a]) for a in gammas[0].chain[-1]}
     for g in gammas:
         reach = {a: frozenset().union(*(reach[p] for p in g.stage_of(a)))
-                 for a in g.agents}
+                 for a in g.chain[-1]}
     return reach[agent]
 
 
@@ -628,10 +678,9 @@ def view_leaves(view) -> frozenset:
 
 
 def views_seen(snap):
-    """Per product vertex, the agents and the values its raw snapshot view
-    (``vertex_data`` through the product's vertex sources) mentions."""
-    leaves = [view_leaves(snap.protocol.vertex_data[act][2])
-              for _, act in snap.run.result.vertex_sources]
+    """Per product vertex, the agents and the values its snapshot view
+    (:func:`snapshot_views`) mentions."""
+    leaves = [view_leaves(view) for _, _, view in snapshot_views(snap)]
     return [{p for p, _ in lv} for lv in leaves], [{v for _, v in lv} for lv in leaves]
 
 

@@ -97,6 +97,14 @@ def test_initial_block_facets_partition_sensibly(snap_si):
     assert len(blocks[0] | blocks[1] | blocks[2]) > len(blocks[0])
 
 
+def test_initial_block_facets_match_oracle(snap_by_inputs, snap2_3):
+    """The bulk read of the run table against each facet's decoded
+    schedules: one input assignment, and all of them."""
+    for snap in (snap_by_inputs, snap2_3):
+        for a in range(3):
+            assert initial_block_facets(snap, a) == oracles.initial_block_naive(snap, a)
+
+
 def test_conflict_requires_ordered_distinct_agents(snap_si):
     with pytest.raises(UsageError):
         conflict_relation(snap_si, 1, 0)

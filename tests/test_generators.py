@@ -1,8 +1,10 @@
 """Protocol and task generators: schedules, views, graphs, staircase."""
 
+import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -126,13 +128,18 @@ def test_snapshot_two_agents_one_round(snap1_2):
 
 
 def test_snapshot_schedules_regenerate_views(snap1_3):
+    # every facet holding a vertex gives it the same view, and distinct
+    # vertices have distinct views
+    views = oracles.snapshot_views(snap1_3)
+    assert len(set(views)) == len(views)
     for t in range(snap1_3.model.n_facets):
         schedules = snap1_3.facet_schedules(t)
         assert len(schedules) == 1  # no facet collisions at this size
         inputs, gammas = schedules[0]
+        assert inputs == snap1_3.run.facet_inputs[t]
         facet = snap1_3.model.facets[t]
         for v in facet.vertices:
-            a, inp, view = snap1_3.vertex_info(v)
+            a, inp, view = views[v]
             assert inp == inputs[a]
             assert view == compute_view(inputs, gammas, a)
 
@@ -165,19 +172,21 @@ def test_snapshot_input_validation(ws3):
 @pytest.mark.parametrize("single_input", [False, True])
 def test_snapshot_action_matches_naive_builder(n_agents, rounds, single_input):
     """The round-by-round builder against compute_view over every (inputs,
-    schedules) pair: same vertex and facet numbering, views, view masks,
-    preconditions and schedules, over all inputs and over one assignment
-    (``inputs=``)."""
+    schedules) pair: same vertex colors and facet numbering, view masks,
+    preconditions and decoded schedules, over all inputs and over one
+    assignment (``inputs=``). Facets and masks against the oracle's views
+    pin the vertex numbering."""
     values = (0, "one", 2)[:max(n_agents, 2)]
     ws = standard_workspace(n_agents, values)
     inputs = tuple(values[a % len(values)] for a in range(n_agents)) if single_input else None
     got = snapshot_action(ws, rounds, inputs)
     want = oracles.snapshot_action_naive(ws, rounds, inputs)
-    assert got.vertex_data == want["vertex_data"]
+    assert [v.color for v in got.action.complex.vertices] == \
+        [a for a, _, _ in want["vertex_data"]]
     assert [list(f.vertices) for f in got.action.facets] == want["facets"]
     assert len(got.action.pre) == len(want["pre"])
     assert all(p is q for p, q in zip(got.action.pre, want["pre"]))
-    assert got.schedules == want["schedules"]
+    assert tuple(map(got.runs, range(got.action.n_facets))) == want["schedules"]
     leaves = [oracles.view_leaves(view) for _, _, view in want["vertex_data"]]
     assert got.view_masks.tolist() == [
         [sum(1 << p for p in {p for p, _ in lv}),
@@ -199,6 +208,22 @@ def test_three_round_snapshot_json_is_pinned():
              "model": serialize.dumps(serialize.model_to_json(run.model))}
     assert {k: hashlib.sha256(t.encode()).hexdigest()
             for k, t in texts.items()} == SNAPSHOT_3X3_SHA256
+
+
+def test_three_round_snapshot_action_retains_under_10_mb():
+    """3 agents x 3 rounds (59319 facets) keeps int arrays and the action
+    complex: 6.7 MB retained. A nested view per vertex and a schedule list
+    per facet on top of them retain 22.1 MB."""
+    ws = standard_workspace(3, (0, 1, 2))
+    tracemalloc.start()
+    try:
+        proto = snapshot_action(ws, 3)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proto.action.n_facets == 59319
+    assert retained < 10_000_000, retained
 
 
 # -- agreement task ---------------------------------------------------------
@@ -243,8 +268,8 @@ def test_explicit_agreement_relation_clauses(snap1_3, agree2_3):
     # spot-check the view clause on one facet
     i = 0
     facet = snap1_3.model.facets[i]
-    seen = [{x for _, x in oracles.view_leaves(snap1_3.vertex_info(v)[2])}
-            for v in facet.vertices]
+    views = oracles.snapshot_views(snap1_3)
+    seen = [{x for _, x in oracles.view_leaves(views[v][2])} for v in facet.vertices]
     for j in range(agree2_3.model.n_facets):
         if j in rel.partners(i):
             decisions = agree2_3.facet_decisions(j)
@@ -279,6 +304,26 @@ def test_round_prefix_morphism_drops_last_round(ws2):
     for mode in ("K", "D"):
         report = SimulationEngine(src.model, dst.model).verify(rel, mode)
         assert report.is_simulation and report.total
+
+
+@pytest.mark.parametrize("n_agents,src,dst", [
+    (2, (2, None), (1, None)), (2, (3, None), (2, None)), (2, (3, None), (1, None)),
+    (2, (3, (0, 1)), (2, None)), (2, (2, (1, 0)), (1, (1, 0))), (2, (3, (1, 1)), (1, (1, 1))),
+    (3, (2, (0, 1, 2)), (1, None)), (2, (2, None), (1, (0, 1)))])
+def test_round_prefix_morphism_matches_oracle(n_agents, src, dst):
+    """The bulk prefix map against dicts over every decoded run, over all
+    inputs and one assignment on either side; a target lacking the source's
+    inputs is refused."""
+    ws = standard_workspace(n_agents)
+    src, dst = snapshot_run(ws, *src), snapshot_run(ws, *dst)
+    want = oracles.round_prefix_naive(src, dst)
+    if want is None:
+        with pytest.raises(UsageError, match="does not cover"):
+            round_prefix_morphism(src, dst)
+        return
+    f = round_prefix_morphism(src, dst)
+    assert f.vmap == want
+    assert f.validate(src.model, dst.model) == []
 
 
 # -- message graphs ---------------------------------------------------------
@@ -387,8 +432,9 @@ def test_view_masks_match_view_helpers(request, run):
     agents, values = snap.view_masks
     n_vertices = len(snap.model.complex.vertices)
     assert len(agents) == len(values) == n_vertices
+    views = oracles.snapshot_views(snap)
     for v in range(n_vertices):
-        leaves = oracles.view_leaves(snap.vertex_info(v)[2])
+        leaves = oracles.view_leaves(views[v][2])
         assert {p for p in range(snap.workspace.n_agents) if agents[v] >> p & 1} \
             == {p for p, _ in leaves}
         assert {x for i, x in enumerate(snap.workspace.values) if values[v] >> i & 1} \
